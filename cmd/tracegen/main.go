@@ -24,13 +24,16 @@
 //
 //	tracegen -snapshot DIR -users 100000 -shard-range 0:50000      # host A
 //	tracegen -snapshot DIR -users 100000 -shard-range 50000:100000 # host B
-//	tracegen -snapshot DIR -users 100000 -merge                    # coordinator
+//	tracegen -snapshot DIR -users 100000 -workers 2                # merge
 //
 // Each -shard-range run seals its user slice as an independently
-// checksummed part file; -merge validates that the sealed parts tile
-// the population and seals the canonical snapshot + manifest,
-// byte-identical to a single-process build. -workers N does the same
-// fan-out with N in-process builders in one invocation.
+// checksummed part file. -workers N (N > 1) runs the build coordinator
+// (internal/buildctl), the one builder that splits a population into
+// user ranges: it adopts every verified part already in the store,
+// builds the missing ranges on N in-process workers, and merges the
+// parts into the canonical snapshot + manifest, byte-identical to a
+// single-process build. The third command above therefore only
+// merges; on an empty store the same command builds everything.
 //
 // -shard-range speaks the coordinator worker protocol: on success it
 // prints one JSON line (range, sealed bytes, payload CRC, elapsed) on
@@ -38,14 +41,14 @@
 // invalid key/range/config exit 4 (fatal). Human-readable progress
 // goes to stderr.
 //
-// -coordinate runs the fault-tolerant build coordinator
-// (internal/buildctl) instead of the fail-fast -workers fan-out:
-// failed ranges back off and retry, stragglers are hedged, repeatedly
-// failing ranges are re-cut, and an interrupted build resumes from
-// the verified parts on disk. -fault injects a seeded chaos plan
+// The coordinator tolerates failure: failed ranges back off and
+// retry, stragglers are hedged, repeatedly failing ranges are re-cut,
+// and an interrupted build resumes from the verified parts on disk.
+// -fault injects a seeded chaos plan
 // ("crash=0.3,slow=0.2,hang=0.1,corrupt=0.1,limit=2,slowms=50") for
 // smoke-testing the coordinator against itself; -halt-after N stops
-// after N newly sealed parts to exercise resumption.
+// after N newly sealed parts to exercise resumption. These flags need
+// a coordinated build (-workers N > 1 or -hosts).
 //
 // Multi-host builds move the workers to other machines. Each worker
 // host runs a daemon; the coordinator dispatches ranges to them over
@@ -53,20 +56,19 @@
 // back into its own store:
 //
 //	tracegen -snapshot SCRATCH -serve 0.0.0.0:9470                  # worker hosts
-//	tracegen -snapshot DIR -users 100000 -coordinate \
-//	    -hosts hosta:9470,hostb:9470                                # coordinator
+//	tracegen -snapshot DIR -users 100000 -hosts hosta:9470,hostb:9470 # coordinator
 //
 // Streamed parts are CRC-checked chunk by chunk and resume from the
 // received offset after a reconnect, so a daemon killed mid-stream
 // costs only the missing tail. Hung hosts are detected by heartbeat
 // and fail into the hedge path; repeat offenders are quarantined and
 // re-admitted after probation; observed per-host throughput feeds the
-// coordinator's range re-cuts. On exit, -coordinate -hosts prints a
-// one-line JSON transport summary (per-host attempts, heartbeat
-// misses, bytes streamed and re-streamed, final weights). -serve
-// takes -addr-file (write the bound address, for :0 ports) and
-// -serve-delay (slow builds down for chaos-smoke kill windows);
-// -chunk sets the stream chunk size.
+// coordinator's range re-cuts. On exit, -hosts prints a one-line JSON
+// transport summary (per-host attempts, heartbeat misses, bytes
+// streamed and re-streamed, final weights). -serve takes -addr-file
+// (write the bound address, for :0 ports) and -serve-delay (slow
+// builds down for chaos-smoke kill windows); -chunk sets the stream
+// chunk size.
 //
 // The store itself is managed with the gc subcommand:
 //
@@ -116,10 +118,8 @@ func main() {
 	pcap := flag.Bool("pcap", false, "also write libpcap files (host-NNN.pcap) readable by tcpdump/wireshark")
 	snapDir := flag.String("snapshot", "", "also materialize the feature workspace into this snapshot directory")
 	shard := flag.Int("shard", 0, "users per shard when materializing the snapshot (0 = default)")
-	workers := flag.Int("workers", 0, "coordinator mode: build the snapshot as N in-process shard parts and merge (0/1 = single streaming build)")
+	workers := flag.Int("workers", 0, "coordinated build: N > 1 builds the snapshot as user ranges on N in-process workers, adopting parts already sealed, and merges (0/1 = single streaming build)")
 	shardRange := flag.String("shard-range", "", "worker mode: build only users lo:hi as a sealed snapshot part (requires -snapshot)")
-	merge := flag.Bool("merge", false, "coordinator mode: merge previously built -shard-range parts into the sealed snapshot (requires -snapshot)")
-	coordinate := flag.Bool("coordinate", false, "fault-tolerant coordinator mode: drive the snapshot build to sealed with retries, hedging and resume (requires -snapshot)")
 	ranges := flag.Int("ranges", 0, "coordinate: target number of build ranges (0 = one per worker)")
 	retries := flag.Int("retries", 0, "coordinate: attempts per range before the build aborts (0 = default)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "coordinate: wall-clock bound per attempt (0 = none)")
@@ -130,20 +130,29 @@ func main() {
 	serve := flag.String("serve", "", "daemon mode: listen on ADDR and build/stream snapshot parts for remote coordinators (requires -snapshot as the scratch store)")
 	addrFile := flag.String("addr-file", "", "serve: write the bound listen address to this file (useful with :0 ephemeral ports)")
 	serveDelay := flag.Duration("serve-delay", 0, "serve: artificial delay per built user (widens chaos-smoke kill windows)")
-	hosts := flag.String("hosts", "", "coordinate: comma-separated daemon addresses to dispatch ranges to instead of building in-process")
+	hosts := flag.String("hosts", "", "coordinated build: comma-separated daemon addresses to dispatch ranges to instead of building in-process")
 	chunk := flag.Int("chunk", 0, "coordinate -hosts: part stream chunk size in bytes (0 = default)")
 	flag.Parse()
 	if *serve == "" && *out == "" && *snapDir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if (*shardRange != "" || *merge || *coordinate || *serve != "") && *snapDir == "" {
-		log.Fatalf("tracegen: -shard-range, -merge, -coordinate and -serve need -snapshot")
+	coordinate := *workers > 1 || *hosts != ""
+	if (*shardRange != "" || coordinate || *serve != "") && *snapDir == "" {
+		log.Fatalf("tracegen: -shard-range, -workers, -hosts and -serve need -snapshot")
+	}
+	if !coordinate {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "ranges", "retries", "attempt-timeout", "hedge-after", "halt-after", "fault", "fault-seed", "chunk":
+				log.Fatalf("tracegen: -%s needs a coordinated build (-workers N > 1 or -hosts)", f.Name)
+			}
+		})
 	}
 
 	// Ctrl-C / SIGTERM cancels in-flight builds cleanly: part writers
 	// abort their temp files, nothing partial is ever sealed, and a
-	// -coordinate build resumes from its verified parts next run.
+	// coordinated build resumes from its verified parts next run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -168,20 +177,15 @@ func main() {
 	case *shardRange != "":
 		buildShardRangeCmd(ctx, pop, *snapDir, *shardRange, *shard)
 		return
-	case *merge:
-		mergeShards(pop, *snapDir)
-		return
-	case *coordinate:
-		coordinateBuild(ctx, pop, *snapDir, coordOptions{
-			shard: *shard, workers: *workers, ranges: *ranges,
-			retries: *retries, attemptTimeout: *attemptTimeout,
-			hedgeAfter: *hedgeAfter, haltAfter: *haltAfter,
-			faultSpec: *faultSpec, faultSeed: *faultSeed,
-			hosts: *hosts, chunk: *chunk,
+	case coordinate:
+		coordinateBuild(ctx, pop, *snapDir, *shard, *hosts, *chunk, *faultSpec, buildctl.Options{
+			Parallel: *workers, Ranges: *ranges, MaxAttempts: *retries,
+			AttemptTimeout: *attemptTimeout, HedgeAfter: *hedgeAfter,
+			Seed: *faultSeed, HaltAfter: *haltAfter, Logf: log.Printf,
 		})
 		return
 	case *snapDir != "":
-		writeSnapshot(ctx, pop, *snapDir, *shard, *workers)
+		writeSnapshot(ctx, pop, *snapDir, *shard)
 	}
 	if *out == "" {
 		return
@@ -243,13 +247,13 @@ func main() {
 // writeSnapshot materializes the population's feature workspace into
 // the content-addressed store, shard by shard, unless a valid
 // snapshot for these parameters already exists.
-func writeSnapshot(ctx context.Context, pop *trace.Population, dir string, shard, workers int) {
+func writeSnapshot(ctx context.Context, pop *trace.Population, dir string, shard int) {
 	key, err := snapshot.KeyFor(pop.Cfg)
 	if err != nil {
 		log.Fatalf("tracegen: snapshot key: %v", err)
 	}
 	start := time.Now()
-	ws, warm, err := analysis.LoadOrMaterialize(ctx, dir, key, shard, workers, pop.CostWeights(),
+	ws, warm, err := analysis.LoadOrMaterialize(ctx, dir, key, shard,
 		func(stage string, werr error) {
 			log.Printf("tracegen: snapshot %s fallback: %v", stage, werr)
 		},
@@ -318,19 +322,6 @@ func buildShardRangeCmd(ctx context.Context, pop *trace.Population, dir, rng str
 		info.Path, lo, hi, time.Since(start).Round(time.Millisecond))
 }
 
-// coordOptions carries the -coordinate flag bundle.
-type coordOptions struct {
-	shard, workers, ranges int
-	retries                int
-	attemptTimeout         time.Duration
-	hedgeAfter             time.Duration
-	haltAfter              int
-	faultSpec              string
-	faultSeed              uint64
-	hosts                  string
-	chunk                  int
-}
-
 // runServe is daemon mode: serve remote build sessions until the
 // process is signalled. The -snapshot directory is the scratch store;
 // parts sealed there double as the resume cache for reconnecting
@@ -362,9 +353,9 @@ func runServe(ctx context.Context, addr, dir, addrFile string, delay time.Durati
 }
 
 // remotePool wires the -hosts list into a remotework.Pool worker.
-func remotePool(pop *trace.Population, dir string, key snapshot.Key, o coordOptions) *remotework.Pool {
+func remotePool(pop *trace.Population, dir string, key snapshot.Key, hosts string, chunk int, seed uint64) *remotework.Pool {
 	var hs []remotework.Host
-	for _, a := range strings.Split(o.hosts, ",") {
+	for _, a := range strings.Split(hosts, ",") {
 		addr := strings.TrimSpace(a)
 		if addr == "" {
 			continue
@@ -375,11 +366,11 @@ func remotePool(pop *trace.Population, dir string, key snapshot.Key, o coordOpti
 		}})
 	}
 	if len(hs) == 0 {
-		log.Fatalf("tracegen: -hosts %q names no hosts", o.hosts)
+		log.Fatalf("tracegen: -hosts %q names no hosts", hosts)
 	}
 	return &remotework.Pool{
 		Dir: dir, Key: key, Cfg: pop.Cfg, Hosts: hs,
-		ChunkBytes: o.chunk, Seed: o.faultSeed,
+		ChunkBytes: chunk, Seed: seed,
 		BaseWeights: pop.CostWeights(), Logf: log.Printf,
 	}
 }
@@ -433,32 +424,32 @@ func parseFaultPlan(spec string, seed uint64) (buildctl.FaultPlan, error) {
 // coordinator: resumable, retrying, hedging — and optionally under an
 // injected chaos plan, which is how the build-chaos smoke proves the
 // whole control plane converges to the clean build's exact bytes.
-func coordinateBuild(ctx context.Context, pop *trace.Population, dir string, o coordOptions) {
+func coordinateBuild(ctx context.Context, pop *trace.Population, dir string, shard int, hosts string, chunk int, faultSpec string, opts buildctl.Options) {
 	key, err := snapshot.KeyFor(pop.Cfg)
 	if err != nil {
 		log.Fatalf("tracegen: snapshot key: %v", err)
 	}
-	var worker buildctl.Worker = &buildctl.LocalWorker{
-		Dir: dir, Key: key, ShardUsers: o.shard,
+	opts.Dir, opts.Key, opts.Weights = dir, key, pop.CostWeights()
+	opts.Worker = &buildctl.LocalWorker{
+		Dir: dir, Key: key, ShardUsers: shard,
 		Generate: func(u int, rows [][features.NumFeatures]float64) {
 			pop.Users[u].FillSeries(rows)
 		},
 	}
 	var pool *remotework.Pool
-	var weightsFn func() []float64
-	if o.hosts != "" {
-		pool = remotePool(pop, dir, key, o)
-		worker = pool
+	if hosts != "" {
+		pool = remotePool(pop, dir, key, hosts, chunk, opts.Seed)
+		opts.Worker = pool
 		// Observed per-host throughput steers the coordinator's
 		// re-cuts toward the users that actually cost the most.
-		weightsFn = pool.WeightsFn
+		opts.WeightsFn = pool.WeightsFn
 	}
-	if o.faultSpec != "" {
-		plan, err := parseFaultPlan(o.faultSpec, o.faultSeed)
+	if faultSpec != "" {
+		plan, err := parseFaultPlan(faultSpec, opts.Seed)
 		if err != nil {
 			log.Fatalf("tracegen: -fault: %v", err)
 		}
-		worker = &buildctl.FaultyWorker{Inner: worker, Plan: plan, Dir: dir, Key: key}
+		opts.Worker = &buildctl.FaultyWorker{Inner: opts.Worker, Plan: plan, Dir: dir, Key: key}
 	}
 	summary := func() {
 		if pool == nil {
@@ -472,15 +463,7 @@ func coordinateBuild(ctx context.Context, pop *trace.Population, dir string, o c
 		fmt.Println(string(js))
 	}
 	start := time.Now()
-	st, err := buildctl.Build(ctx, buildctl.Options{
-		Dir: dir, Key: key, Worker: worker,
-		Parallel: o.workers, Ranges: o.ranges, Weights: pop.CostWeights(),
-		WeightsFn:  weightsFn,
-		ShardUsers: o.shard, MaxAttempts: o.retries,
-		AttemptTimeout: o.attemptTimeout, HedgeAfter: o.hedgeAfter,
-		Seed: o.faultSeed, HaltAfter: o.haltAfter,
-		Logf: log.Printf,
-	})
+	st, err := buildctl.Build(ctx, opts)
 	switch {
 	case errors.Is(err, buildctl.ErrHalted):
 		summary()
@@ -499,23 +482,6 @@ func coordinateBuild(ctx context.Context, pop *trace.Population, dir string, o c
 		key.Path(dir), st.MergedParts, st.Attempts, st.Failures, st.Hedges,
 		st.Recuts, st.ResumedParts, st.QuarantinedParts, st.RebuiltUsers,
 		time.Since(start).Round(time.Millisecond))
-}
-
-// mergeShards is the distributed-build coordinator finale: it
-// validates that the sealed parts tile the population and seals the
-// canonical snapshot + manifest.
-func mergeShards(pop *trace.Population, dir string) {
-	key, err := snapshot.KeyFor(pop.Cfg)
-	if err != nil {
-		log.Fatalf("tracegen: snapshot key: %v", err)
-	}
-	start := time.Now()
-	n, err := snapshot.MergeShards(dir, key)
-	if err != nil {
-		log.Fatalf("tracegen: merging shards: %v", err)
-	}
-	fmt.Printf("%s: merged %d parts in %v\n",
-		key.Path(dir), n, time.Since(start).Round(time.Millisecond))
 }
 
 // runGC is the "tracegen gc" subcommand: retention for a snapshot

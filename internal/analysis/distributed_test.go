@@ -54,20 +54,18 @@ func TestShardWorkerHelper(t *testing.T) {
 	}
 }
 
-// TestCrossProcessShardBuild is the ISSUE's three-way determinism
-// pin: the same key built via (a) single-process Save, (b) in-process
-// distributed workers, and (c) two separate coordinator processes
-// over disjoint shard ranges plus a merge, must produce byte-identical
-// snapshots AND manifests.
+// TestCrossProcessShardBuild is the cross-process determinism pin:
+// the same key built via (a) single-process Save and (b) two separate
+// worker processes over disjoint shard ranges plus a merge must
+// produce byte-identical snapshots AND manifests. The in-process
+// multi-range build is pinned the same way in internal/buildctl
+// (TestCoordinatorClean).
 func TestCrossProcessShardBuild(t *testing.T) {
 	const users = 40
 	pop := trace.MustPopulation(helperConfig(users))
 	key, err := snapshot.KeyFor(pop.Cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	gen := func(u int, rows [][features.NumFeatures]float64) {
-		pop.Users[u].FillSeries(rows)
 	}
 
 	// (a) single-process Save from a fully in-memory workspace.
@@ -77,17 +75,9 @@ func TestCrossProcessShardBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// (b) in-process distributed build: three part writers + merge.
-	distDir := t.TempDir()
-	ws, err := MaterializeDistributed(context.Background(), distDir, key, 0, 3, pop.CostWeights(), gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws.Close()
-
-	// (c) two genuinely separate worker processes (the test binary
+	// (b) two genuinely separate worker processes (the test binary
 	// re-exec'd onto the helper), then a merge in this process — the
-	// tracegen -shard-range / -merge coordinator flow.
+	// tracegen -shard-range worker flow.
 	procDir := t.TempDir()
 	exe, err := os.Executable()
 	if err != nil {
@@ -116,21 +106,19 @@ func TestCrossProcessShardBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, dir := range map[string]string{"in-process distributed": distDir, "cross-process": procDir} {
-		got, err := os.ReadFile(key.Path(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s snapshot bytes differ from single-process Save", name)
-		}
-		gotMan, err := os.ReadFile(key.ManifestPath(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotMan, wantMan) {
-			t.Fatalf("%s manifest bytes differ from single-process Save", name)
-		}
+	got, err := os.ReadFile(key.Path(procDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("cross-process snapshot bytes differ from single-process Save")
+	}
+	gotMan, err := os.ReadFile(key.ManifestPath(procDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotMan, wantMan) {
+		t.Fatal("cross-process manifest bytes differ from single-process Save")
 	}
 
 	// The merged store round-trips through the workspace layer.
@@ -142,48 +130,52 @@ func TestCrossProcessShardBuild(t *testing.T) {
 	requireEqualWorkspaces(t, loaded, mem)
 }
 
-// TestLoadOrMaterializeWorkers pins the workers > 1 cold path to the
-// single-pass build byte for byte, and the warm path to a plain map.
-func TestLoadOrMaterializeWorkers(t *testing.T) {
+// TestLoadOrMaterializeColdThenWarm pins the access chain: a cold
+// call builds the store byte-identical to Save and reports cold; the
+// next call maps it warm without generating a single user.
+func TestLoadOrMaterializeColdThenWarm(t *testing.T) {
 	pop, key := popAndKey(t, 23, 2, 11, 6*time.Hour)
+	var generated atomic.Int32
 	gen := func(u int, rows [][features.NumFeatures]float64) {
+		generated.Add(1)
 		pop.Users[u].FillSeries(rows)
 	}
-	singleDir, distDir := t.TempDir(), t.TempDir()
-	ws, _, err := LoadOrMaterialize(context.Background(), singleDir, key, 0, 0, nil, nil, gen)
-	if err != nil {
+	saveDir, dir := t.TempDir(), t.TempDir()
+	mem := NewGenerated(key.Users, func(u int) *features.Matrix { return pop.Users[u].Series() })
+	if _, err := mem.Save(saveDir, key); err != nil {
 		t.Fatal(err)
+	}
+	ws, warm, err := LoadOrMaterialize(context.Background(), dir, key, 5, nil, gen)
+	if err != nil || warm {
+		t.Fatalf("cold call: warm=%v err=%v", warm, err)
 	}
 	ws.Close()
-	ws, warm, err := LoadOrMaterialize(context.Background(), distDir, key, 5, 4, pop.CostWeights(), nil, gen)
+	want, err := os.ReadFile(key.Path(saveDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.Close()
-	if warm {
-		t.Fatal("cold build reported warm")
-	}
-	want, err := os.ReadFile(key.Path(singleDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(key.Path(distDir))
+	got, err := os.ReadFile(key.Path(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("workers>1 cold build bytes differ from single-pass build")
+		t.Fatal("cold build bytes differ from Save")
 	}
-	if ws, warm, err = LoadOrMaterialize(context.Background(), distDir, key, 5, 4, nil, nil, gen); err != nil || !warm {
+	generated.Store(0)
+	if ws, warm, err = LoadOrMaterialize(context.Background(), dir, key, 5, nil, gen); err != nil || !warm {
 		t.Fatalf("second call: warm=%v err=%v", warm, err)
 	}
 	ws.Close()
+	if n := generated.Load(); n != 0 {
+		t.Fatalf("warm call generated %d users", n)
+	}
 }
 
 // TestMaterializeCancelled pins the ctx contract: cancelling a
 // materialization mid-build aborts it with the context's error, seals
 // nothing (no .snap, no part), and leaves no temp files behind — a
-// coordinator deadline or Ctrl-C cannot leak a poisoned store.
+// coordinator deadline or Ctrl-C cannot leak a poisoned store. The
+// multi-range build's twin is buildctl's TestBuildCancelledSealsNothing.
 func TestMaterializeCancelled(t *testing.T) {
 	pop, key := popAndKey(t, 30, 2, 11, 6*time.Hour)
 	var built atomic.Int32
@@ -217,17 +209,6 @@ func TestMaterializeCancelled(t *testing.T) {
 		// Shard granularity 1 so the per-shard ctx check fires right
 		// after the cancelling user, deterministically.
 		_, err := MaterializeSharded(ctx, dir, key, 1, newGen(ctx, cancel))
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		assertNothingSealed(t, dir)
-	})
-	t.Run("distributed", func(t *testing.T) {
-		dir := t.TempDir()
-		built.Store(0)
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		_, err := MaterializeDistributed(ctx, dir, key, 1, 3, nil, newGen(ctx, cancel))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}

@@ -28,7 +28,6 @@ import (
 	"io/fs"
 	"sort"
 	"sync"
-	"unsafe"
 
 	"repro/internal/features"
 	"repro/internal/par"
@@ -60,14 +59,9 @@ func (w *Workspace) Save(dir string, key snapshot.Key) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := writeRecords(context.Background(), wr, w.users, DefaultShardUsers, func(u int, rec []float64) {
-		copy(rowsView(rec, lay), w.matrices[u].Rows)
-		fillDerived(rec, lay)
+	if err := sealRecords(context.Background(), wr, 0, w.users, DefaultShardUsers, func(u int, rows [][features.NumFeatures]float64) {
+		copy(rows, w.matrices[u].Rows)
 	}); err != nil {
-		wr.Abort()
-		return "", err
-	}
-	if err := wr.Finish(); err != nil {
 		return "", err
 	}
 	return key.Path(dir), nil
@@ -117,9 +111,11 @@ func Load(dir string, key snapshot.Key) (*Workspace, error) {
 
 // LoadOrMaterialize is the store's standard access chain: map the
 // snapshot if a valid one exists (warm == true; generate is never
-// called), otherwise cold-build it with MaterializeSharded. Callers
-// own the failure policy — the enterprise and the fleet harness fall
-// back to in-memory materialization, tracegen reports the error.
+// called), otherwise cold-build it in one streaming pass with
+// MaterializeSharded. Multi-range builds go through internal/buildctl
+// instead, which seals the same bytes. Callers own the failure policy
+// — the enterprise and the fleet harness fall back to in-memory
+// materialization, tracegen reports the error.
 //
 // warn, when non-nil, surfaces fallback events that were previously
 // silent: stage "load" fires when a snapshot file exists but could
@@ -127,19 +123,10 @@ func Load(dir string, key snapshot.Key) (*Workspace, error) {
 // anything but plain absence), stage "materialize" when the
 // cold-build itself fails. Operators watching warn can tell a mystery
 // cold rebuild from a routine first run.
-// workers chooses the cold-build strategy: <= 1 builds in one
-// streaming pass (MaterializeSharded), > 1 fans contiguous user
-// ranges over that many in-process part builders and merges
-// (MaterializeDistributed) — byte-identical output either way.
-// weights optionally supplies per-user generation cost (one
-// non-negative weight per user) for load-balanced worker ranges; nil
-// (or a wrong-length slice) means equal user counts. Only the range
-// boundaries depend on it — the sealed store is byte-identical for
-// any weights.
 // ctx bounds the cold build only (the warm map is nearly
-// instantaneous): a coordinator deadline or Ctrl-C cancels in-flight
-// part builds instead of leaking them.
-func LoadOrMaterialize(ctx context.Context, dir string, key snapshot.Key, shardUsers, workers int, weights []float64, warn func(stage string, err error), generate func(u int, rows [][features.NumFeatures]float64)) (ws *Workspace, warm bool, err error) {
+// instantaneous): a deadline or Ctrl-C cancels it instead of leaking
+// it.
+func LoadOrMaterialize(ctx context.Context, dir string, key snapshot.Key, shardUsers int, warn func(stage string, err error), generate func(u int, rows [][features.NumFeatures]float64)) (ws *Workspace, warm bool, err error) {
 	ws, lerr := Load(dir, key)
 	if lerr == nil {
 		return ws, true, nil
@@ -147,11 +134,7 @@ func LoadOrMaterialize(ctx context.Context, dir string, key snapshot.Key, shardU
 	if warn != nil && !errors.Is(lerr, fs.ErrNotExist) {
 		warn("load", lerr)
 	}
-	if workers > 1 {
-		ws, err = MaterializeDistributed(ctx, dir, key, shardUsers, workers, weights, generate)
-	} else {
-		ws, err = MaterializeSharded(ctx, dir, key, shardUsers, generate)
-	}
+	ws, err = MaterializeSharded(ctx, dir, key, shardUsers, generate)
 	if err != nil && warn != nil {
 		warn("materialize", err)
 	}
@@ -183,7 +166,8 @@ func LoadUserMatrix(dir string, key snapshot.Key, u int) (*features.Matrix, erro
 // users inside the range, so a coordinator can hand disjoint ranges
 // to separate processes (or hosts sharing a filesystem) and each pays
 // only its slice of the generation cost. snapshot.MergeShards seals
-// the parts into the canonical snapshot once all ranges exist.
+// the parts into the canonical snapshot once all ranges exist;
+// internal/buildctl coordinates that whole flow.
 // ctx aborts the build between (and inside) generation shards: on
 // cancellation the part writer is aborted — its temp file removed,
 // nothing sealed — and ctx's error returned.
@@ -192,73 +176,7 @@ func BuildShardRange(ctx context.Context, dir string, key snapshot.Key, lo, hi, 
 	if err != nil {
 		return err
 	}
-	lay := wr.Layout()
-	if err := writeRecordsRange(ctx, wr, lo, hi, shardUsers, func(u int, rec []float64) {
-		generate(u, rowsView(rec, lay))
-		fillDerived(rec, lay)
-	}); err != nil {
-		wr.Abort()
-		return err
-	}
-	return wr.Finish()
-}
-
-// MaterializeDistributed is the in-process coordinator: it fans
-// contiguous user ranges over a pool of part builders, merges the
-// sealed parts into the canonical snapshot, and maps it. The result —
-// snapshot and manifest both — is byte-identical to MaterializeSharded
-// over the same generator (the cross-process determinism tests pin
-// all build strategies to each other).
-//
-// weights optionally supplies per-user generation cost for the range
-// cuts (snapshot.CutRanges): with a heavy-tail population, equal user
-// counts leave the worker that drew the heavy users ~1.6× behind its
-// siblings, while weight-balanced ranges even the wall-clock out. nil
-// or wrong-length weights fall back to equal counts. The cut never
-// changes the sealed bytes, only which worker produces which part.
-// ctx cancellation aborts every in-flight part build; the first
-// worker error likewise cancels its siblings, so a failed distributed
-// build releases its goroutines promptly instead of letting the
-// surviving workers generate records nobody will merge.
-func MaterializeDistributed(ctx context.Context, dir string, key snapshot.Key, shardUsers, workers int, weights []float64, generate func(u int, rows [][features.NumFeatures]float64)) (*Workspace, error) {
-	workers = par.Workers(workers, key.Users)
-	if workers < 2 {
-		return MaterializeSharded(ctx, dir, key, shardUsers, generate)
-	}
-	if len(weights) != key.Users {
-		weights = make([]float64, key.Users) // zero total → equal counts
-	}
-	cuts := snapshot.CutRanges(weights, workers)
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	errs := make([]error, len(cuts))
-	for i, r := range cuts {
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			if errs[i] = BuildShardRange(bctx, dir, key, lo, hi, shardUsers, generate); errs[i] != nil {
-				cancel()
-			}
-		}(i, r[0], r[1])
-	}
-	wg.Wait()
-	// Prefer a real build failure over the context errors the
-	// cancelled siblings report in its wake.
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, context.Canceled) {
-			return nil, err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if _, err := snapshot.MergeShards(dir, key); err != nil {
-		return nil, err
-	}
-	return Load(dir, key)
+	return sealRecords(ctx, wr, lo, hi, shardUsers, generate)
 }
 
 // MaterializeSharded materializes a population straight into a
@@ -278,48 +196,40 @@ func MaterializeSharded(ctx context.Context, dir string, key snapshot.Key, shard
 	if err != nil {
 		return nil, err
 	}
-	lay := wr.Layout()
-	if err := writeRecords(ctx, wr, key.Users, shardUsers, func(u int, rec []float64) {
-		generate(u, rowsView(rec, lay))
-		fillDerived(rec, lay)
-	}); err != nil {
-		wr.Abort()
-		return nil, err
-	}
-	if err := wr.Finish(); err != nil {
+	if err := sealRecords(ctx, wr, 0, key.Users, shardUsers, generate); err != nil {
 		return nil, err
 	}
 	return Load(dir, key)
 }
 
-// recordAppender is the writer seam writeRecordsRange streams
-// through: the full-snapshot Writer and the part-file ShardWriter
-// share it.
-type recordAppender interface {
+// recordWriter is what sealRecords streams through: the full-snapshot
+// Writer and the part-file ShardWriter share it.
+type recordWriter interface {
 	Layout() snapshot.Layout
 	AppendUsers([]float64) error
+	Finish() error
+	Abort()
 }
 
-// writeRecords pulls user records through fill in bounded shards and
-// appends them to the writer in user order. One shard buffer is
-// reused for the whole run; fill runs on the shared worker pool.
-func writeRecords(ctx context.Context, wr *snapshot.Writer, users, shardUsers int, fill func(u int, rec []float64)) error {
-	return writeRecordsRange(ctx, wr, 0, users, shardUsers, fill)
-}
-
-// writeRecordsRange is writeRecords over the user range [lo, hi).
-// Cancellation is honored at shard granularity for the append (a
-// partially filled shard is never written) and at user granularity
-// inside the parallel fill (remaining fills become no-ops), so a
-// cancelled build stops within roughly one user's generation time.
-func writeRecordsRange(ctx context.Context, wr recordAppender, lo, hi, shardUsers int, fill func(u int, rec []float64)) error {
+// sealRecords pulls users [lo, hi) through generate in bounded shards,
+// derives each record's sorted columns and day views, appends the
+// records to wr in user order, and seals it; on any error or panic wr
+// is aborted. One shard buffer is reused for the whole run; generation
+// runs on the shared worker pool. Cancellation is honored at shard
+// granularity for the append (a partially filled shard is never
+// written) and at user granularity inside the parallel fill (remaining
+// fills become no-ops), so a cancelled build stops within roughly one
+// user's generation time.
+func sealRecords(ctx context.Context, wr recordWriter, lo, hi, shardUsers int, generate func(u int, rows [][features.NumFeatures]float64)) error {
 	if shardUsers <= 0 {
 		shardUsers = DefaultShardUsers
 	}
 	if shardUsers > hi-lo {
 		shardUsers = hi - lo
 	}
-	rf := wr.Layout().RecordFloats()
+	defer wr.Abort() // a no-op once sealed; drops the temp file on error or panic
+	lay := wr.Layout()
+	rf := lay.RecordFloats()
 	buf := make([]float64, shardUsers*rf)
 	for base := lo; base < hi; base += shardUsers {
 		n := min(shardUsers, hi-base)
@@ -328,7 +238,9 @@ func writeRecordsRange(ctx context.Context, wr recordAppender, lo, hi, shardUser
 			if ctx.Err() != nil {
 				return
 			}
-			fill(base+i, chunk[i*rf:(i+1)*rf:(i+1)*rf])
+			rec := chunk[i*rf : (i+1)*rf : (i+1)*rf]
+			generate(base+i, lay.RowsOf(rec))
+			fillDerived(rec, lay)
 		})
 		if err := ctx.Err(); err != nil {
 			return err
@@ -337,12 +249,7 @@ func writeRecordsRange(ctx context.Context, wr recordAppender, lo, hi, shardUser
 			return err
 		}
 	}
-	return nil
-}
-
-// rowsView reinterprets a record's rows region as matrix rows.
-func rowsView(rec []float64, lay snapshot.Layout) [][features.NumFeatures]float64 {
-	return unsafe.Slice((*[features.NumFeatures]float64)(unsafe.Pointer(&rec[0])), lay.Bins())
+	return wr.Finish()
 }
 
 // fillDerived computes a record's sorted columns and day views from
@@ -351,7 +258,7 @@ func rowsView(rec []float64, lay snapshot.Layout) [][features.NumFeatures]float6
 // sort.Float64s — so a loaded snapshot is bit-identical to the
 // in-memory build.
 func fillDerived(rec []float64, lay snapshot.Layout) {
-	rows := rowsView(rec, lay)
+	rows := lay.RowsOf(rec)
 	bpw, bpd := lay.BinsPerWeek, lay.BinsPerDay
 	for week := 0; week < lay.Weeks; week++ {
 		base := week * bpw

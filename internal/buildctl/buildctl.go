@@ -1,7 +1,9 @@
-// Package buildctl is the fault-tolerant coordinator for distributed
-// snapshot builds: it drives a MaterializeDistributed-style build to
-// completion while workers crash, hang, slow down, or seal corrupt
-// parts.
+// Package buildctl is the one builder that splits a snapshot build
+// into user ranges: in-process (LocalWorker), across processes
+// (ExecWorker) or across hosts (internal/remotework), it drives the
+// build to completion while workers crash, hang, panic, slow down, or
+// seal corrupt parts. The only other build path is the single-pass
+// analysis.MaterializeSharded.
 //
 // The design leans on two properties the snapshot layer already
 // guarantees. First, a part build is deterministic — every attempt at
@@ -30,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -46,8 +49,7 @@ type Options struct {
 	Worker Worker
 
 	// Parallel bounds concurrently running attempts (hedges included).
-	// <= 0 means GOMAXPROCS clamped to the user count, exactly like
-	// analysis.MaterializeDistributed's worker pool.
+	// <= 0 means GOMAXPROCS clamped to the user count.
 	Parallel int
 	// Ranges is the target number of initial ranges (<= 0: Parallel).
 	// More ranges than workers buys finer-grained retries and resumes
@@ -65,10 +67,6 @@ type Options struct {
 	// weight per user (anything else falls back to Weights). Called
 	// from the event-loop goroutine only.
 	WeightsFn func() []float64
-	// ShardUsers is advisory geometry recorded for workers that want
-	// it (LocalWorker takes its own); kept here so a coordinator can
-	// be described by one struct.
-	ShardUsers int
 
 	// AttemptTimeout bounds one attempt's wall-clock; 0 means no
 	// deadline. Builds whose workers can hang need either a deadline
@@ -345,6 +343,10 @@ func (c *coordinator) run(ctx context.Context) error {
 			c.shutdown()
 			return nil
 		}
+		if err := ctx.Err(); err != nil {
+			c.shutdown()
+			return err
+		}
 		if c.opts.HaltAfter > 0 && c.sealedNew >= c.opts.HaltAfter {
 			c.opts.Logf("buildctl: halting after %d newly sealed parts", c.sealedNew)
 			c.shutdown()
@@ -409,12 +411,7 @@ func (c *coordinator) dispatch(ctx context.Context) {
 	}
 }
 
-// launch starts one attempt goroutine for rs. The goroutine builds,
-// then — only on a claimed success — verifies the sealed part end to
-// end before reporting, so the event loop never sees an unproven
-// "done". Verification runs out here, off the event loop, because it
-// streams the whole part; concurrent verifies of one range are safe
-// (every seal of a range is byte-identical).
+// launch starts one attempt goroutine for rs (see attempt).
 func (c *coordinator) launch(ctx context.Context, rs *rangeState, hedge bool) {
 	t := Task{Lo: rs.lo, Hi: rs.hi, Attempt: rs.attempts}
 	rs.attempts++
@@ -439,14 +436,32 @@ func (c *coordinator) launch(ctx context.Context, rs *rangeState, hedge bool) {
 	c.attempts[a.id] = a
 	c.inflight++
 	go func() {
-		err := c.opts.Worker.Build(actx, t)
-		if err == nil {
-			if _, verr := snapshot.VerifyPart(c.opts.Dir, c.opts.Key, t.Lo, t.Hi); verr != nil {
-				err = fmt.Errorf("sealed part failed verification: %w", verr)
-			}
-		}
+		err := c.attempt(actx, t)
 		c.results <- attemptResult{lo: t.Lo, hi: t.Hi, id: a.id, err: err, elapsed: time.Since(a.start)}
 	}()
+}
+
+// attempt runs one build attempt on its own goroutine: the worker
+// builds, then — only on a claimed success — the sealed part is
+// verified end to end, so the event loop never sees an unproven
+// "done". Verification runs here, off the event loop, because it
+// streams the whole part; concurrent verifies of one range are safe
+// (every seal of a range is byte-identical). A worker panic is a bug
+// no retry can fix: it comes back as a Fatal error carrying the panic
+// value and stack instead of killing the process.
+func (c *coordinator) attempt(ctx context.Context, t Task) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = Fatal(fmt.Errorf("worker panicked on %v: %v\n%s", t, v, debug.Stack()))
+		}
+	}()
+	if err := c.opts.Worker.Build(ctx, t); err != nil {
+		return err
+	}
+	if _, err := snapshot.VerifyPart(c.opts.Dir, c.opts.Key, t.Lo, t.Hi); err != nil {
+		return fmt.Errorf("sealed part failed verification: %w", err)
+	}
+	return nil
 }
 
 // handle folds one attempt result into the range state. A non-nil
@@ -469,11 +484,7 @@ func (c *coordinator) handle(r attemptResult) error {
 		return nil // a sibling (hedge) already completed the range
 	}
 	if r.err == nil {
-		rs.done = true
-		rs.lastErr = nil
-		c.covered += rs.hi - rs.lo
-		c.sealedNew++
-		c.st.SealedParts++
+		c.markDone(rs)
 		c.durations = append(c.durations, r.elapsed)
 		// Stragglers of a done range only burn slots; their seals
 		// would be byte-identical anyway.
@@ -594,12 +605,18 @@ func (c *coordinator) shutdown() {
 			delete(rs.running, r.id)
 		}
 		if rs != nil && !rs.done && r.err == nil {
-			rs.done = true
-			c.covered += rs.hi - rs.lo
-			c.sealedNew++
-			c.st.SealedParts++
+			c.markDone(rs)
 		}
 	}
+}
+
+// markDone records a range's part as newly sealed and verified.
+func (c *coordinator) markDone(rs *rangeState) {
+	rs.done = true
+	rs.lastErr = nil
+	c.covered += rs.hi - rs.lo
+	c.sealedNew++
+	c.st.SealedParts++
 }
 
 // sweepStrays removes sealed parts that do not correspond to a done

@@ -2,11 +2,15 @@ package buildctl
 
 import (
 	"context"
+	"errors"
+	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/features"
 )
 
 // TestHedgeLoserCancelledPromptly is the goroutine-leak regression
@@ -52,20 +56,8 @@ func TestHedgeLoserCancelledPromptly(t *testing.T) {
 	if h, c := hung.Load(), cancelled.Load(); h == 0 || c != h {
 		t.Fatalf("hung=%d cancelled=%d — losing attempts leaked past Build", h, c)
 	}
-	// And no attempt goroutine may outlive the call. Allow a short grace
-	// for runtime bookkeeping (timer/GC goroutines settling).
-	dl := time.Now().Add(3 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= base+3 {
-			break
-		}
-		if time.Now().After(dl) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// And no attempt goroutine may outlive the call.
+	waitGoroutines(t, base)
 }
 
 // TestParseRangeResultGarbage pins the stdout-parsing contract: the
@@ -110,4 +102,84 @@ func TestParseRangeResultGarbage(t *testing.T) {
 			t.Fatalf("err = %v, want it to quote the rejected line", err)
 		}
 	})
+}
+
+// TestBuildCancelledSealsNothing pins the ctx contract of an
+// in-process multi-range build: cancelling mid-build (from inside
+// generation) returns the context's error, seals nothing — no
+// snapshot, no part, no temp file left behind — and no attempt
+// goroutine outlives the Build call.
+func TestBuildCancelledSealsNothing(t *testing.T) {
+	pop, key := testPop(t, 30)
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var built atomic.Int32
+	worker := &LocalWorker{Dir: dir, Key: key, ShardUsers: 1,
+		Generate: func(u int, rows [][features.NumFeatures]float64) {
+			if built.Add(1) == 3 {
+				cancel() // die mid-population, from inside generation
+			}
+			pop.Users[u].FillSeries(rows)
+		}}
+	base := runtime.NumGoroutine()
+	_, err := Build(ctx, Options{Dir: dir, Key: key, Worker: worker, Parallel: 3, Weights: pop.CostWeights()})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		t.Fatalf("cancelled build left %s behind", e.Name())
+	}
+	waitGoroutines(t, base)
+}
+
+// TestBuildWorkerPanicIsFatal pins the panic contract: a worker that
+// panics must not kill the process from its attempt goroutine. Build
+// returns a Fatal error naming the range, without retrying it.
+func TestBuildWorkerPanicIsFatal(t *testing.T) {
+	_, key := testPop(t, 12)
+	dir := t.TempDir()
+	var calls atomic.Int32
+	worker := WorkerFunc(func(ctx context.Context, tk Task) error {
+		calls.Add(1)
+		if tk.Lo == 0 {
+			panic("generator bug")
+		}
+		<-ctx.Done() // the other range waits to be cancelled by the abort
+		return ctx.Err()
+	})
+	base := runtime.NumGoroutine()
+	_, err := Build(context.Background(), Options{Dir: dir, Key: key, Worker: worker, Parallel: 2})
+	if err == nil || !IsFatal(err) {
+		t.Fatalf("err = %v, want a Fatal error", err)
+	}
+	for _, want := range []string{"[0, 6)", "generator bug"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to name %q", err, want)
+		}
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("%d attempts, want 2: a panicking range must not be retried", n)
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines fails the test unless the goroutine count settles
+// back to base (plus a little runtime bookkeeping) within a grace
+// period.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	dl := time.Now().Add(3 * time.Second)
+	for runtime.NumGoroutine() > base+3 {
+		if time.Now().After(dl) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
+				base, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

@@ -70,7 +70,8 @@ func IsFatal(err error) bool {
 }
 
 // LocalWorker builds parts in-process via analysis.BuildShardRange —
-// the Worker the single-binary coordinator path uses.
+// the Worker of every in-process multi-range build (repro's
+// SnapshotWorkers, tracegen -workers).
 type LocalWorker struct {
 	Dir        string
 	Key        snapshot.Key

@@ -298,7 +298,7 @@ func openFleetSnapshot(cfg Config) (*analysis.Workspace, int) {
 	if err != nil {
 		return nil, fallbacks
 	}
-	ws, _, err := analysis.LoadOrMaterialize(context.Background(), cfg.SnapshotDir, key, 0, 0, pop.CostWeights(), warn,
+	ws, _, err := analysis.LoadOrMaterialize(context.Background(), cfg.SnapshotDir, key, 0, warn,
 		func(u int, rows [][features.NumFeatures]float64) {
 			pop.Users[u].FillSeries(rows)
 		})

@@ -6,7 +6,9 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -28,12 +30,30 @@ func Workers(requested, n int) int {
 	return w
 }
 
+// WorkerPanic is the value ForEach re-panics with on the caller's
+// goroutine when fn panicked on a worker goroutine: the original
+// panic value plus the worker's stack at the point of the panic.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
+}
+
 // ForEach runs fn(i) for every i in [0, n) on at most workers
 // goroutines (workers < 1 selects GOMAXPROCS). It returns when all
 // calls have completed. Indices are handed out atomically, so the
 // work distribution is dynamic: cheap items don't stall behind
 // expensive ones. fn must be safe for concurrent invocation on
 // distinct indices.
+//
+// A panic in fn never kills the process from a worker goroutine: the
+// first one is captured, the workers stop taking new indices, and
+// once all of them have returned ForEach re-panics on the caller's
+// goroutine with a WorkerPanic, so a caller's recover sees it exactly
+// as it would in the serial loop.
 func ForEach(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -45,12 +65,22 @@ func ForEach(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next      atomic.Int64
+		wg        sync.WaitGroup
+		panicOnce sync.Once
+		caught    *WorkerPanic
+	)
 	wg.Add(w)
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panicOnce.Do(func() { caught = &WorkerPanic{Value: v, Stack: debug.Stack()} })
+					next.Store(int64(n)) // hand out no further indices
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -61,13 +91,17 @@ func ForEach(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if caught != nil {
+		panic(*caught)
+	}
 }
 
 // ForEachErr is ForEach for fallible work: it runs fn(i) for every i
 // in [0, n) and returns the error from the lowest index that failed
 // (deterministic regardless of scheduling). All indices are attempted
 // even after a failure, keeping the completion semantics identical to
-// the serial loop the caller replaced.
+// the serial loop the caller replaced. A panic in fn reaches the
+// caller as in ForEach.
 func ForEachErr(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

@@ -2,6 +2,7 @@ package par
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -56,5 +57,40 @@ func TestWorkersClamping(t *testing.T) {
 	}
 	if w := Workers(-1, 0); w != 1 {
 		t.Fatalf("Workers(-1,0) = %d", w)
+	}
+}
+
+// TestForEachPanicReachesCaller pins the fan-out's panic contract: a
+// panic on a worker goroutine must not kill the process but surface
+// on the caller's goroutine, where a deferred recover sees it with the
+// original value and the worker's stack.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	for name, run := range map[string]func(fn func(int)){
+		"ForEach": func(fn func(int)) { ForEach(100, 4, fn) },
+		"ForEachErr": func(fn func(int)) {
+			ForEachErr(100, 4, func(i int) error { fn(i); return nil })
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				run(func(i int) {
+					if i == 37 {
+						panic("boom at 37")
+					}
+				})
+			}()
+			wp, ok := got.(WorkerPanic)
+			if !ok {
+				t.Fatalf("recovered %T %v, want a WorkerPanic", got, got)
+			}
+			if wp.Value != "boom at 37" {
+				t.Fatalf("panic value %v, want the worker's", wp.Value)
+			}
+			if !strings.Contains(string(wp.Stack), "TestForEachPanicReachesCaller") {
+				t.Fatalf("stack does not name the panicking worker:\n%s", wp.Stack)
+			}
+		})
 	}
 }

@@ -4,7 +4,7 @@ package snapshot
 // to move a sealed part file between hosts without ever trusting the
 // wire. A PartServer serves a sealed part in CRC-checked chunks at
 // arbitrary offsets; a PartReceiver reassembles them into a temp file
-// and seals it with the same atomic-rename discipline as ShardWriter,
+// and seals it with the same commit helper as ShardWriter,
 // refusing to commit until every byte of the declared size has
 // arrived and the running checksum matches the declared whole-file
 // CRC.
@@ -19,7 +19,6 @@ package snapshot
 import (
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -56,18 +55,10 @@ func OpenPartServer(dir string, key Key, lo, hi int) (*PartServer, error) {
 		return nil, fmt.Errorf("snapshot: part %s is %d bytes, want %d (truncated or foreign)",
 			filepath.Base(f.Name()), st.Size(), want)
 	}
-	crc := uint32(0)
-	buf := make([]byte, 1<<20)
-	for {
-		n, rerr := f.Read(buf)
-		crc = crc32.Update(crc, crcTable, buf[:n])
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			f.Close()
-			return nil, fmt.Errorf("snapshot: %w", rerr)
-		}
+	crc, err := crcOf(f)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return &PartServer{f: f, size: st.Size(), crc: crc}, nil
 }
@@ -104,21 +95,19 @@ func (s *PartServer) ChunkAt(off int64, n int, buf []byte) (data []byte, crc uin
 func (s *PartServer) Close() error { return s.f.Close() }
 
 // PartReceiver reassembles a part file from chunks into a temp file
-// next to its final path, sealing it by atomic rename only once every
+// next to its final path, committing it only once every
 // byte has arrived and the running CRC matches the expected whole-file
 // checksum. It is connection-agnostic state: keep one receiver alive
 // across reconnects (or host switches) and resume fetching at
 // Offset().
 type PartReceiver struct {
-	tmp, final string
-	f          *os.File
+	*tempFile
 	expectSet  bool
 	size       int64  // declared total size
 	crc        uint32 // declared whole-file CRC-32C
 	received   int64  // contiguous prefix written so far
 	runCRC     uint32 // CRC-32C of bytes [0, received)
 	restreamed int64  // chunk bytes that re-covered already-received ground
-	done       bool
 }
 
 // NewPartReceiver opens a receiver for the part covering users
@@ -132,15 +121,11 @@ func NewPartReceiver(dir string, key Key, lo, hi int) (*PartReceiver, error) {
 	if lo < 0 || hi <= lo || hi > key.Users {
 		return nil, fmt.Errorf("snapshot: part range [%d, %d) invalid for %d users", lo, hi, key.Users)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	final := key.PartPath(dir, lo, hi)
-	f, err := os.CreateTemp(dir, filepath.Base(final)+".tmp*")
+	t, err := newTempFile(key.PartPath(dir, lo, hi))
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil, err
 	}
-	return &PartReceiver{tmp: f.Name(), final: final, f: f}, nil
+	return &PartReceiver{tempFile: t}, nil
 }
 
 // Expect declares the transfer's end state: total sealed size and
@@ -199,7 +184,7 @@ func (r *PartReceiver) WriteChunk(off int64, data []byte, crc uint32) error {
 	if end > r.size {
 		return fmt.Errorf("snapshot: chunk at %d runs to %d, past declared size %d", off, end, r.size)
 	}
-	r.restreamed += min64(r.received, end) - off
+	r.restreamed += min(r.received, end) - off
 	if end <= r.received {
 		return nil // entirely re-covered ground; bytes are already sealed into runCRC
 	}
@@ -213,9 +198,10 @@ func (r *PartReceiver) WriteChunk(off int64, data []byte, crc uint32) error {
 
 // Commit seals the received part: every declared byte must have
 // arrived and the running CRC must equal the declared whole-file CRC.
-// On success the temp file is synced and atomically renamed to the
-// part path — from then on it is indistinguishable from a part sealed
-// locally, and VerifyPart remains the end-to-end trust gate.
+// On success the temp file is committed to the part path — from then
+// on it is indistinguishable from a part sealed locally, and
+// VerifyPart remains the end-to-end trust gate. Abort discards the
+// partial transfer instead.
 func (r *PartReceiver) Commit() error {
 	if r.done {
 		return fmt.Errorf("snapshot: receiver already committed")
@@ -226,33 +212,5 @@ func (r *PartReceiver) Commit() error {
 	if r.runCRC != r.crc {
 		return fmt.Errorf("snapshot: received part checksum %08x != declared %08x", r.runCRC, r.crc)
 	}
-	if err := r.f.Sync(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := r.f.Close(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	r.done = true
-	if err := os.Rename(r.tmp, r.final); err != nil {
-		os.Remove(r.tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return nil
-}
-
-// Abort discards the partial transfer.
-func (r *PartReceiver) Abort() {
-	if r.done {
-		return
-	}
-	r.done = true
-	_ = r.f.Close()
-	_ = os.Remove(r.tmp)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return r.commit(nil)
 }

@@ -34,10 +34,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
-	"path/filepath"
-	"unsafe"
 
 	"repro/internal/features"
 )
@@ -50,7 +47,7 @@ const (
 	manifestHdrBytes = 8 + manifestFields*8
 
 	// manifestFlagRecordCRCs marks a manifest carrying the per-record
-	// CRC table (4 bytes/user); Writer.Finish always emits it.
+	// CRC table (4 bytes/user); every sealed store emits it.
 	manifestFlagRecordCRCs = 1 << 0
 )
 
@@ -69,75 +66,14 @@ func ManifestShards(users int) int {
 func (k Key) ManifestPath(dir string) string { return k.Path(dir) + manifestSuffix }
 
 func encodeManifest(key Key, shardCRCs, recCRCs []uint32) []byte {
-	lay := key.Layout()
 	var flags uint64
 	if len(recCRCs) > 0 {
 		flags |= manifestFlagRecordCRCs
 	}
-	buf := make([]byte, 0, manifestHdrBytes+4*len(shardCRCs)+4*len(recCRCs)+4)
-	buf = append(buf, manifestMagic...)
-	var scratch [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		buf = append(buf, scratch[:]...)
-	}
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		buf = append(buf, scratch[:4]...)
-	}
-	put(headerVersion)
-	put(EngineVersion)
-	put(key.Seed)
-	put(uint64(key.Users))
-	put(uint64(key.Weeks))
-	put(uint64(key.BinWidth.Microseconds()))
-	put(uint64(key.StartMicros))
-	put(math.Float64bits(key.HeavyFraction))
-	put(math.Float64bits(key.WeeklyTrend))
-	put(uint64(key.BinsPerWeek()))
-	put(uint64(lay.PayloadFloats()))
-	put(ManifestShardUsers)
-	put(flags)
-	for _, c := range shardCRCs {
-		put32(c)
-	}
-	for _, c := range recCRCs {
-		put32(c)
-	}
-	put32(crc32.Checksum(buf, crcTable))
-	return buf
-}
-
-// writeManifest seals a manifest next to its snapshot with the same
-// temp-file + atomic-rename discipline the snapshot itself uses (the
-// temp name keeps the "ws-…tmp…" shape sweepStaleTemps recognizes).
-func writeManifest(path string, key Key, shardCRCs, recCRCs []uint32) error {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(encodeManifest(key, shardCRCs, recCRCs)); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	buf := encodeHead(manifestMagic, key.headFields(ManifestShardUsers, flags))
+	buf = append(buf, encodeCRCTable(shardCRCs)...)
+	buf = append(buf, encodeCRCTable(recCRCs)...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
 }
 
 // readManifest loads and fully validates a manifest: magic, self-CRC,
@@ -148,39 +84,25 @@ func readManifest(path string, key Key) (shardCRCs, recCRCs []uint32, err error)
 	if err != nil {
 		return nil, nil, err // fs.ErrNotExist on a manifest-less store
 	}
-	if len(buf) < manifestHdrBytes+4 || string(buf[:8]) != manifestMagic {
-		return nil, nil, fmt.Errorf("snapshot: %s: bad manifest magic", path)
+	return decodeManifest(buf, path, key)
+}
+
+// decodeManifest is readManifest over the file's bytes.
+func decodeManifest(buf []byte, path string, key Key) (shardCRCs, recCRCs []uint32, err error) {
+	if len(buf) < manifestHdrBytes+4 {
+		return nil, nil, fmt.Errorf("snapshot: %s: manifest is %d bytes, shorter than its header", path, len(buf))
 	}
 	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
 	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(tail); got != want {
 		return nil, nil, fmt.Errorf("snapshot: manifest self-checksum %08x != trailer %08x (corrupt)", got, want)
 	}
-	field := func(i int) uint64 { return binary.LittleEndian.Uint64(buf[8+8*i:]) }
-	lay := key.Layout()
-	checks := []struct {
-		name string
-		got  uint64
-		want uint64
-	}{
-		{"header version", field(0), headerVersion},
-		{"engine version", field(1), EngineVersion},
-		{"seed", field(2), key.Seed},
-		{"users", field(3), uint64(key.Users)},
-		{"weeks", field(4), uint64(key.Weeks)},
-		{"bin width", field(5), uint64(key.BinWidth.Microseconds())},
-		{"start micros", field(6), uint64(key.StartMicros)},
-		{"heavy fraction", field(7), math.Float64bits(key.HeavyFraction)},
-		{"weekly trend", field(8), math.Float64bits(key.WeeklyTrend)},
-		{"bins per week", field(9), uint64(key.BinsPerWeek())},
-		{"payload floats", field(10), uint64(lay.PayloadFloats())},
-		{"shard granularity", field(11), ManifestShardUsers},
+	if err := checkHead(buf, manifestMagic, "manifest", key.headFields(ManifestShardUsers), "shard granularity"); err != nil {
+		return nil, nil, err
 	}
-	for _, c := range checks {
-		if c.got != c.want {
-			return nil, nil, fmt.Errorf("snapshot: manifest %s mismatch (file %d, want %d)", c.name, c.got, c.want)
-		}
+	flags := headField(buf, 12)
+	if flags&^manifestFlagRecordCRCs != 0 {
+		return nil, nil, fmt.Errorf("snapshot: manifest flags %#x carry unknown bits", flags)
 	}
-	flags := field(12)
 	nShards := ManifestShards(key.Users)
 	wantLen := manifestHdrBytes + 4*nShards + 4
 	if flags&manifestFlagRecordCRCs != 0 {
@@ -189,17 +111,10 @@ func readManifest(path string, key Key) (shardCRCs, recCRCs []uint32, err error)
 	if len(buf) != wantLen {
 		return nil, nil, fmt.Errorf("snapshot: manifest is %d bytes, want %d (truncated or foreign)", len(buf), wantLen)
 	}
-	tables := buf[manifestHdrBytes : len(buf)-4]
-	shardCRCs = make([]uint32, nShards)
-	for i := range shardCRCs {
-		shardCRCs[i] = binary.LittleEndian.Uint32(tables[4*i:])
-	}
+	tables := decodeCRCTable(body[manifestHdrBytes:])
+	shardCRCs = tables[:nShards]
 	if flags&manifestFlagRecordCRCs != 0 {
-		rec := tables[4*nShards:]
-		recCRCs = make([]uint32, key.Users)
-		for i := range recCRCs {
-			recCRCs[i] = binary.LittleEndian.Uint32(rec[4*i:])
-		}
+		recCRCs = tables[nShards:]
 	}
 	return shardCRCs, recCRCs, nil
 }
@@ -227,30 +142,14 @@ func (r *UserRecord) User() int { return r.u }
 func (r *UserRecord) Record() []float64 { return r.rec }
 
 // Rows returns the matrix rows (bin-major, canonical feature order).
-func (r *UserRecord) Rows() [][features.NumFeatures]float64 {
-	return unsafe.Slice((*[features.NumFeatures]float64)(unsafe.Pointer(&r.rec[0])), r.lay.Bins())
-}
+func (r *UserRecord) Rows() [][features.NumFeatures]float64 { return r.lay.RowsOf(r.rec) }
 
 // SortedColumn returns the sorted (week, feature) column.
-func (r *UserRecord) SortedColumn(week, f int) []float64 {
-	r.lay.checkWeekFeature(week, f)
-	off := r.lay.SortedOff(week, f)
-	return r.rec[off : off+r.lay.BinsPerWeek : off+r.lay.BinsPerWeek]
-}
+func (r *UserRecord) SortedColumn(week, f int) []float64 { return r.lay.sortedColumn(r.rec, week, f) }
 
 // DayColumns returns the (week, feature) day view: 7 per-day sorted
 // slices sharing one contiguous run of the record.
-func (r *UserRecord) DayColumns(week, f int) [][]float64 {
-	r.lay.checkWeekFeature(week, f)
-	off := r.lay.DayOff(week, f)
-	bpd := r.lay.BinsPerDay
-	days := make([][]float64, 7)
-	for d := 0; d < 7; d++ {
-		lo := off + d*bpd
-		days[d] = r.rec[lo : lo+bpd : lo+bpd]
-	}
-	return days
-}
+func (r *UserRecord) DayColumns(week, f int) [][]float64 { return r.lay.dayColumns(r.rec, week, f) }
 
 // OpenUser reads one user's record in O(record work, one-shard I/O):
 // it validates the manifest (self-CRC + every key field), the snapshot
@@ -274,36 +173,16 @@ func OpenUser(dir string, key Key, u int) (*UserRecord, error) {
 		return nil, fmt.Errorf("snapshot: user %d outside store population [0, %d) (weeks=%d binsPerWeek=%d)",
 			u, lay.Users, lay.Weeks, lay.BinsPerWeek)
 	}
-	path := key.Path(dir)
-	shardCRCs, recCRCs, err := readManifest(path+manifestSuffix, key)
+	shardCRCs, recCRCs, err := readManifest(key.ManifestPath(dir), key)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(path)
+	f, _, err := openStore(dir, key)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
 	rf := lay.RecordFloats()
-	wantSize := int64(headerBytes) + int64(lay.PayloadFloats())*8
-	if st.Size() != wantSize {
-		return nil, fmt.Errorf("snapshot: %s is %d bytes, want %d (truncated or foreign)", path, st.Size(), wantSize)
-	}
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	payloadFloats, _, err := key.checkHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	if payloadFloats != lay.PayloadFloats() {
-		return nil, fmt.Errorf("snapshot: payload declares %d floats, layout needs %d", payloadFloats, lay.PayloadFloats())
-	}
 	si := u / ManifestShardUsers
 	lo := si * ManifestShardUsers
 	hi := lo + ManifestShardUsers

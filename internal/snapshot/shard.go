@@ -12,9 +12,8 @@ package snapshot
 // the sealed store carries (header CRC, manifest shard CRCs) is
 // recomputed from the parts' CRC tables with the GF(2) combine in
 // combine.go instead of re-streaming every record through a Writer.
-// MergeShardsStreaming retains the original replay-through-a-Writer
-// merge as the independent verify fallback; the two are pinned
-// byte-identical.
+// The tests keep the replay-through-a-Writer merge as the oracle the
+// splice is pinned byte-identical against.
 //
 // # Part layout
 //
@@ -39,19 +38,16 @@ package snapshot
 // fold of the table must equal the payload's own checksum) so a
 // corrupt table can never produce a sealed store.
 //
-// Parts use the same temp-file + atomic-rename discipline as the
-// snapshot writer: a crashed worker leaves only a temp file (swept by
-// the next Create), never a sealed-looking part.
+// Parts use the same temp-file + commit discipline as the snapshot
+// writer (commit.go): a crashed worker leaves only a temp file (swept
+// by the next Create), never a sealed-looking part.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -70,68 +66,21 @@ func (k Key) PartPath(dir string, lo, hi int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.part-%08d-%08d", k.Filename(), lo, hi))
 }
 
-func (k Key) encodePartHeader(lo, hi, partFloats int, crc, tableCRC uint32) []byte {
-	buf := make([]byte, partHdrBytes)
-	copy(buf, partMagic)
-	fields := []uint64{
-		headerVersion,
-		EngineVersion,
-		k.Seed,
-		uint64(k.Users),
-		uint64(k.Weeks),
-		uint64(k.BinWidth.Microseconds()),
-		uint64(k.StartMicros),
-		math.Float64bits(k.HeavyFraction),
-		math.Float64bits(k.WeeklyTrend),
-		uint64(k.BinsPerWeek()),
-		uint64(k.Layout().PayloadFloats()),
-		uint64(lo),
-		uint64(hi),
-		uint64(partFloats),
-		uint64(crc),
-		uint64(tableCRC),
-	}
-	for i, v := range fields {
-		binary.LittleEndian.PutUint64(buf[8+8*i:], v)
-	}
-	return buf
+func (k Key) encodePartHeader(lo, hi int, crc, tableCRC uint32) []byte {
+	partFloats := (hi - lo) * k.Layout().RecordFloats()
+	return encodeHead(partMagic, k.headFields(uint64(lo), uint64(hi), uint64(partFloats), uint64(crc), uint64(tableCRC)))
 }
 
 // checkPartHeader validates a part header against the key and the
 // range its filename claims, returning the payload and record-table
 // checksums it seals.
 func (k Key) checkPartHeader(buf []byte, lo, hi int) (checksum, tableCRC uint64, err error) {
-	if len(buf) < partHdrBytes || string(buf[:8]) != partMagic {
-		return 0, 0, fmt.Errorf("snapshot: bad part magic (not a shard part)")
+	partFloats := (hi - lo) * k.Layout().RecordFloats()
+	if err := checkHead(buf, partMagic, "part", k.headFields(uint64(lo), uint64(hi), uint64(partFloats)),
+		"range lo", "range hi", "part floats"); err != nil {
+		return 0, 0, err
 	}
-	field := func(i int) uint64 { return binary.LittleEndian.Uint64(buf[8+8*i:]) }
-	rf := k.Layout().RecordFloats()
-	checks := []struct {
-		name string
-		got  uint64
-		want uint64
-	}{
-		{"header version", field(0), headerVersion},
-		{"engine version", field(1), EngineVersion},
-		{"seed", field(2), k.Seed},
-		{"users", field(3), uint64(k.Users)},
-		{"weeks", field(4), uint64(k.Weeks)},
-		{"bin width", field(5), uint64(k.BinWidth.Microseconds())},
-		{"start micros", field(6), uint64(k.StartMicros)},
-		{"heavy fraction", field(7), math.Float64bits(k.HeavyFraction)},
-		{"weekly trend", field(8), math.Float64bits(k.WeeklyTrend)},
-		{"bins per week", field(9), uint64(k.BinsPerWeek())},
-		{"payload floats", field(10), uint64(k.Layout().PayloadFloats())},
-		{"range lo", field(11), uint64(lo)},
-		{"range hi", field(12), uint64(hi)},
-		{"part floats", field(13), uint64((hi - lo) * rf)},
-	}
-	for _, c := range checks {
-		if c.got != c.want {
-			return 0, 0, fmt.Errorf("snapshot: part %s mismatch (file %d, want %d)", c.name, c.got, c.want)
-		}
-	}
-	return field(14), field(15), nil
+	return headField(buf, 14), headField(buf, 15), nil
 }
 
 // partSize returns the sealed on-disk size of a part covering
@@ -142,20 +91,12 @@ func (k Key) partSize(lo, hi int) int64 {
 }
 
 // ShardWriter streams one contiguous user range of a snapshot to a
-// sealed part file. It mirrors Writer's contract: append users
-// [lo, hi) in order, then Finish (or Abort).
+// sealed part file. It shares Writer's record-appending core and
+// contract: append users [lo, hi) in order, then Finish (or Abort).
 type ShardWriter struct {
-	key     Key
-	lay     Layout
-	lo, hi  int
-	f       *os.File
-	bw      *bufio.Writer
-	crc     uint32
-	recCRCs []uint32
-	users   int // appended so far, relative to lo
-	tmp     string
-	final   string
-	done    bool
+	*recordFile
+	key    Key
+	lo, hi int
 }
 
 // CreateShard opens a part writer for users [lo, hi) of key under dir
@@ -168,128 +109,37 @@ func CreateShard(dir string, key Key, lo, hi int) (*ShardWriter, error) {
 	if lo < 0 || hi <= lo || hi > key.Users {
 		return nil, fmt.Errorf("snapshot: shard range [%d, %d) invalid for %d users", lo, hi, key.Users)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	sweepStaleTemps(dir)
-	final := key.PartPath(dir, lo, hi)
-	f, err := os.CreateTemp(dir, filepath.Base(final)+".tmp*")
+	lay := key.Layout()
+	r, err := newRecordFile(key.PartPath(dir, lo, hi), lay, hi-lo, key.encodePartHeader(lo, hi, 0, 0))
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
+		return nil, err
 	}
-	w := &ShardWriter{key: key, lay: key.Layout(), lo: lo, hi: hi, f: f,
-		bw: bufio.NewWriterSize(f, 1<<20), tmp: f.Name(), final: final}
-	if _, err := w.bw.Write(key.encodePartHeader(lo, hi, (hi-lo)*w.lay.RecordFloats(), 0, 0)); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return w, nil
-}
-
-// Layout returns the writer's payload geometry (of the full key).
-func (w *ShardWriter) Layout() Layout { return w.lay }
-
-// Range returns the user range [lo, hi) the part covers.
-func (w *ShardWriter) Range() (lo, hi int) { return w.lo, w.hi }
-
-// AppendUsers appends whole user records (len must be a multiple of
-// Layout().RecordFloats()) in user order within the part's range.
-func (w *ShardWriter) AppendUsers(recs []float64) error {
-	rf := w.lay.RecordFloats()
-	if len(recs)%rf != 0 {
-		return fmt.Errorf("snapshot: AppendUsers got %d floats, not a multiple of the %d-float record", len(recs), rf)
-	}
-	n := len(recs) / rf
-	if w.lo+w.users+n > w.hi {
-		return fmt.Errorf("snapshot: appending past the shard range [%d, %d)", w.lo, w.hi)
-	}
-	b := floatBytes(recs)
-	w.crc = crc32.Update(w.crc, crcTable, b)
-	for i := 0; i < n; i++ {
-		w.recCRCs = append(w.recCRCs, crc32.Checksum(b[i*rf*8:(i+1)*rf*8], crcTable))
-	}
-	if _, err := w.bw.Write(b); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	w.users += n
-	return nil
-}
-
-// encodeCRCTable renders a record-CRC table as its on-disk bytes.
-func encodeCRCTable(crcs []uint32) []byte {
-	buf := make([]byte, 4*len(crcs))
-	for i, c := range crcs {
-		binary.LittleEndian.PutUint32(buf[4*i:], c)
-	}
-	return buf
+	return &ShardWriter{recordFile: r, key: key, lo: lo, hi: hi}, nil
 }
 
 // Finish seals the part: the full range must have been appended. It
-// appends the record-CRC table, flushes, patches the header checksums,
-// syncs and atomically renames the part into place.
+// appends the record-CRC table, patches the header checksums and
+// commits the part into place.
 func (w *ShardWriter) Finish() error {
-	if w.done {
-		return fmt.Errorf("snapshot: shard writer already finished")
-	}
-	if w.lo+w.users != w.hi {
-		w.Abort()
-		return fmt.Errorf("snapshot: %d of %d shard users appended", w.users, w.hi-w.lo)
+	if err := w.complete(); err != nil {
+		return err
 	}
 	table := encodeCRCTable(w.recCRCs)
-	if _, err := w.bw.Write(table); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
+	if err := w.write(table); err != nil {
+		return err
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	hdr := w.key.encodePartHeader(w.lo, w.hi, (w.hi-w.lo)*w.lay.RecordFloats(),
-		w.crc, crc32.Checksum(table, crcTable))
-	if _, err := w.f.WriteAt(hdr, 0); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	w.done = true
-	if err := os.Rename(w.tmp, w.final); err != nil {
-		os.Remove(w.tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return nil
-}
-
-// Abort discards the partial part file.
-func (w *ShardWriter) Abort() {
-	if w.done {
-		return
-	}
-	w.done = true
-	_ = w.f.Close()
-	_ = os.Remove(w.tmp)
-}
-
-// partRange is one discovered sealed part.
-type partRange struct {
-	path   string
-	lo, hi int
+	s := recordShift(w.lay)
+	return w.commit(w.key.encodePartHeader(w.lo, w.hi, s.fold(w.recCRCs), crc32.Checksum(table, crcTable)))
 }
 
 // findParts lists the sealed parts of key under dir, sorted by lo.
-func findParts(dir string, key Key) ([]partRange, error) {
+func findParts(dir string, key Key) ([]PartInfo, error) {
 	prefix := key.Filename() + ".part-"
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	var parts []partRange
+	var parts []PartInfo
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, prefix) || strings.Contains(name, ".tmp") {
@@ -305,24 +155,24 @@ func findParts(dir string, key Key) ([]partRange, error) {
 		if name[len(prefix):] != fmt.Sprintf("%08d-%08d", lo, hi) {
 			continue
 		}
-		parts = append(parts, partRange{path: filepath.Join(dir, name), lo: lo, hi: hi})
+		parts = append(parts, PartInfo{Path: filepath.Join(dir, name), Lo: lo, Hi: hi})
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].lo < parts[j].lo })
+	sort.Slice(parts, func(i, j int) bool { return parts[i].Lo < parts[j].Lo })
 	return parts, nil
 }
 
 // checkPartTiling validates that the discovered parts cover [0, users)
 // exactly, with no gaps or overlaps.
-func checkPartTiling(parts []partRange, key Key, dir string) error {
+func checkPartTiling(parts []PartInfo, key Key, dir string) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("snapshot: no sealed parts for %s under %s", key.Filename(), dir)
 	}
 	next := 0
 	for _, p := range parts {
-		if p.lo != next {
-			return fmt.Errorf("snapshot: parts do not tile the population: next range starts at %d, want %d (have %s)", p.lo, next, filepath.Base(p.path))
+		if p.Lo != next {
+			return fmt.Errorf("snapshot: parts do not tile the population: next range starts at %d, want %d (have %s)", p.Lo, next, filepath.Base(p.Path))
 		}
-		next = p.hi
+		next = p.Hi
 	}
 	if next != key.Users {
 		return fmt.Errorf("snapshot: parts cover users [0, %d), store needs [0, %d)", next, key.Users)
@@ -336,8 +186,8 @@ func checkPartTiling(parts []partRange, key Key, dir string) error {
 // the per-record entries must reproduce partCRC exactly, so a sealed
 // store can never be derived from a table that disagrees with the
 // payload it describes.
-func readPartMeta(key Key, p partRange, recShift *crcShift) (payloadCRC uint32, recCRCs []uint32, err error) {
-	f, err := os.Open(p.path)
+func readPartMeta(key Key, p PartInfo, recShift *crcShift) (payloadCRC uint32, recCRCs []uint32, err error) {
+	f, err := os.Open(p.Path)
 	if err != nil {
 		return 0, nil, fmt.Errorf("snapshot: %w", err)
 	}
@@ -346,33 +196,34 @@ func readPartMeta(key Key, p partRange, recShift *crcShift) (payloadCRC uint32, 
 	if err != nil {
 		return 0, nil, fmt.Errorf("snapshot: %w", err)
 	}
-	if want := key.partSize(p.lo, p.hi); st.Size() != want {
-		return 0, nil, fmt.Errorf("snapshot: part %s is %d bytes, want %d (truncated or foreign)", filepath.Base(p.path), st.Size(), want)
+	return decodePartMeta(f, st.Size(), key, p, recShift)
+}
+
+// decodePartMeta is readPartMeta over any sized reader.
+func decodePartMeta(r io.ReaderAt, size int64, key Key, p PartInfo, recShift *crcShift) (payloadCRC uint32, recCRCs []uint32, err error) {
+	name := filepath.Base(p.Path)
+	if want := key.partSize(p.Lo, p.Hi); size != want {
+		return 0, nil, fmt.Errorf("snapshot: part %s is %d bytes, want %d (truncated or foreign)", name, size, want)
 	}
 	var hdr [partHdrBytes]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+	if _, err := r.ReadAt(hdr[:], 0); err != nil {
 		return 0, nil, fmt.Errorf("snapshot: %w", err)
 	}
-	checksum, tableCRC, err := key.checkPartHeader(hdr[:], p.lo, p.hi)
+	checksum, tableCRC, err := key.checkPartHeader(hdr[:], p.Lo, p.Hi)
 	if err != nil {
-		return 0, nil, fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.path), err)
+		return 0, nil, fmt.Errorf("snapshot: part %s: %w", name, err)
 	}
 	rf := key.Layout().RecordFloats()
-	table := make([]byte, 4*(p.hi-p.lo))
-	if _, err := f.ReadAt(table, int64(partHdrBytes)+int64(p.hi-p.lo)*int64(rf)*8); err != nil {
-		return 0, nil, fmt.Errorf("snapshot: part %s table: %w", filepath.Base(p.path), err)
+	table := make([]byte, 4*(p.Hi-p.Lo))
+	if _, err := r.ReadAt(table, int64(partHdrBytes)+int64(p.Hi-p.Lo)*int64(rf)*8); err != nil {
+		return 0, nil, fmt.Errorf("snapshot: part %s table: %w", name, err)
 	}
 	if got := crc32.Checksum(table, crcTable); uint64(got) != tableCRC {
-		return 0, nil, fmt.Errorf("snapshot: part %s record table checksum %08x != header %08x (corrupt)", filepath.Base(p.path), got, tableCRC)
+		return 0, nil, fmt.Errorf("snapshot: part %s record table checksum %08x != header %08x (corrupt)", name, got, tableCRC)
 	}
-	recCRCs = make([]uint32, p.hi-p.lo)
-	fold := uint32(0)
-	for i := range recCRCs {
-		recCRCs[i] = binary.LittleEndian.Uint32(table[4*i:])
-		fold = recShift.combine(fold, recCRCs[i])
-	}
-	if uint64(fold) != checksum {
-		return 0, nil, fmt.Errorf("snapshot: part %s record table folds to %08x, payload checksum is %08x (inconsistent part)", filepath.Base(p.path), fold, checksum)
+	recCRCs = decodeCRCTable(table)
+	if fold := recShift.fold(recCRCs); uint64(fold) != checksum {
+		return 0, nil, fmt.Errorf("snapshot: part %s record table folds to %08x, payload checksum is %08x (inconsistent part)", name, fold, checksum)
 	}
 	return uint32(checksum), recCRCs, nil
 }
@@ -399,8 +250,7 @@ func MergeShards(dir string, key Key) (int, error) {
 		return 0, err
 	}
 	lay := key.Layout()
-	recBytes := int64(lay.RecordFloats()) * 8
-	recShift := makeCRCShift(recBytes)
+	recShift := recordShift(lay)
 
 	// Pass 1: headers + record-CRC tables, each table cross-checked
 	// against its part's payload checksum.
@@ -415,59 +265,26 @@ func MergeShards(dir string, key Key) (int, error) {
 		recCRCs = append(recCRCs, tbl...)
 	}
 
-	// Derive the sealed store's checksums from the tables alone.
-	total := uint32(0)
-	for i, p := range parts {
-		total = crc32Combine(total, partCRCs[i], int64(p.hi-p.lo)*recBytes)
-	}
-	shardCRCs := make([]uint32, ManifestShards(key.Users))
-	for u, rc := range recCRCs {
-		si := u / ManifestShardUsers
-		shardCRCs[si] = recShift.combine(shardCRCs[si], rc)
-	}
-
-	// Pass 2: splice. The combined checksum is known up front, so the
-	// final header is written first and never patched.
-	sweepStaleTemps(dir)
-	final := key.Path(dir)
-	f, err := os.CreateTemp(dir, key.Filename()+".tmp*")
+	// Pass 2: splice. The store's checksum folds from the record
+	// table, so the final header is written first and never patched.
+	t, err := newTempFile(key.Path(dir))
 	if err != nil {
-		return 0, fmt.Errorf("snapshot: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) (int, error) {
-		f.Close()
-		os.Remove(tmp)
 		return 0, err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := bw.Write(key.encodeHeader(total, lay.PayloadFloats())); err != nil {
-		return fail(fmt.Errorf("snapshot: %w", err))
+	if err := t.write(key.encodeHeader(recShift.fold(recCRCs))); err != nil {
+		return 0, err
 	}
 	for i, p := range parts {
-		if err := spliceOnePart(bw, key, p, partCRCs[i]); err != nil {
-			return fail(err)
+		if err := spliceOnePart(t.bw, key, p, partCRCs[i]); err != nil {
+			t.Abort()
+			return 0, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return fail(fmt.Errorf("snapshot: %w", err))
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("snapshot: %w", err))
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("snapshot: %w", err)
-	}
-	if err := writeManifest(final+manifestSuffix, key, shardCRCs, recCRCs); err != nil {
-		return 0, fmt.Errorf("snapshot: manifest: %w", err)
+	if err := sealStore(t, key, nil, recCRCs); err != nil {
+		return 0, err
 	}
 	for _, p := range parts {
-		_ = os.Remove(p.path)
+		_ = os.Remove(p.Path)
 	}
 	return len(parts), nil
 }
@@ -475,34 +292,23 @@ func MergeShards(dir string, key Key) (int, error) {
 // spliceOnePart bulk-copies one part's payload bytes into the
 // destination, re-verifying the part checksum as the bytes stream
 // through (so a part corrupted after pass 1 still cannot seal).
-func spliceOnePart(dst io.Writer, key Key, p partRange, wantCRC uint32) error {
-	f, err := os.Open(p.path)
+func spliceOnePart(dst io.Writer, key Key, p PartInfo, wantCRC uint32) error {
+	f, err := os.Open(p.Path)
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
 	defer f.Close()
-	payloadBytes := int64(p.hi-p.lo) * int64(key.Layout().RecordFloats()) * 8
-	if _, err := f.Seek(partHdrBytes, io.SeekStart); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
+	payloadBytes := int64(p.Hi-p.Lo) * int64(key.Layout().RecordFloats()) * 8
+	h := crc32.New(crcTable)
+	n, err := io.CopyBuffer(io.MultiWriter(dst, h), io.NewSectionReader(f, partHdrBytes, payloadBytes), make([]byte, 1<<20))
+	if err == nil && n != payloadBytes {
+		err = io.ErrUnexpectedEOF
 	}
-	crc := uint32(0)
-	buf := make([]byte, 1<<20)
-	for rem := payloadBytes; rem > 0; {
-		n := int64(len(buf))
-		if n > rem {
-			n = rem
-		}
-		if _, err := io.ReadFull(f, buf[:n]); err != nil {
-			return fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.path), err)
-		}
-		crc = crc32.Update(crc, crcTable, buf[:n])
-		if _, err := dst.Write(buf[:n]); err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-		rem -= n
+	if err != nil {
+		return fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.Path), err)
 	}
-	if crc != wantCRC {
-		return fmt.Errorf("snapshot: part %s payload checksum %08x != header %08x (corrupt)", filepath.Base(p.path), crc, wantCRC)
+	if crc := h.Sum32(); crc != wantCRC {
+		return fmt.Errorf("snapshot: part %s payload checksum %08x != header %08x (corrupt)", filepath.Base(p.Path), crc, wantCRC)
 	}
 	return nil
 }
@@ -533,11 +339,7 @@ func ListParts(dir string, key Key) ([]PartInfo, error) {
 		}
 		return nil, err
 	}
-	out := make([]PartInfo, len(parts))
-	for i, p := range parts {
-		out[i] = PartInfo{Path: p.path, Lo: p.lo, Hi: p.hi}
-	}
-	return out, nil
+	return parts, nil
 }
 
 // VerifyPart proves one sealed part sound end to end: size, header
@@ -554,8 +356,8 @@ func VerifyPart(dir string, key Key, lo, hi int) (PartInfo, error) {
 	if lo < 0 || hi <= lo || hi > key.Users {
 		return PartInfo{}, fmt.Errorf("snapshot: part range [%d, %d) invalid for %d users", lo, hi, key.Users)
 	}
-	p := partRange{path: key.PartPath(dir, lo, hi), lo: lo, hi: hi}
-	recShift := makeCRCShift(int64(key.Layout().RecordFloats()) * 8)
+	p := PartInfo{Path: key.PartPath(dir, lo, hi), Lo: lo, Hi: hi}
+	recShift := recordShift(key.Layout())
 	crc, _, err := readPartMeta(key, p, &recShift)
 	if err != nil {
 		return PartInfo{}, err
@@ -565,7 +367,8 @@ func VerifyPart(dir string, key Key, lo, hi int) (PartInfo, error) {
 	if err := spliceOnePart(io.Discard, key, p, crc); err != nil {
 		return PartInfo{}, err
 	}
-	return PartInfo{Path: p.path, Lo: lo, Hi: hi, Bytes: key.partSize(lo, hi), CRC: crc}, nil
+	p.Bytes, p.CRC = key.partSize(lo, hi), crc
+	return p, nil
 }
 
 // QuarantineSuffix marks a part file that failed verification and was
@@ -582,105 +385,4 @@ func QuarantinePart(path string) (string, error) {
 		return "", fmt.Errorf("snapshot: quarantine: %w", err)
 	}
 	return bad, nil
-}
-
-// MergeShardsStreaming is the independent verify fallback for
-// MergeShards: it replays every part record through an ordinary Writer
-// — recomputing every record CRC from the payload floats instead of
-// trusting the parts' tables — and seals the identical snapshot +
-// manifest. It exists so the splice's CRC algebra is cross-checkable
-// end to end (the byte-identity of the two merges is pinned in tests)
-// and as the recovery path if a part's table is ever suspect. On
-// success the consumed part files are removed.
-func MergeShardsStreaming(dir string, key Key) (int, error) {
-	if err := key.validate(); err != nil {
-		return 0, err
-	}
-	parts, err := findParts(dir, key)
-	if err != nil {
-		return 0, err
-	}
-	if err := checkPartTiling(parts, key, dir); err != nil {
-		return 0, err
-	}
-	w, err := Create(dir, key)
-	if err != nil {
-		return 0, err
-	}
-	lay := key.Layout()
-	rf := lay.RecordFloats()
-	// Chunked whole-record copies through a float64 buffer: reading
-	// into floatBytes of a []float64 keeps the 8-byte alignment
-	// AppendUsers' reinterpretation needs.
-	chunkRecs := (1 << 20) / (rf * 8)
-	if chunkRecs < 1 {
-		chunkRecs = 1
-	}
-	buf := make([]float64, chunkRecs*rf)
-	for _, p := range parts {
-		if err := mergeOnePart(w, key, p, buf); err != nil {
-			w.Abort()
-			return 0, err
-		}
-	}
-	if err := w.Finish(); err != nil {
-		return 0, err
-	}
-	for _, p := range parts {
-		_ = os.Remove(p.path)
-	}
-	return len(parts), nil
-}
-
-func mergeOnePart(w *Writer, key Key, p partRange, buf []float64) error {
-	f, err := os.Open(p.path)
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	rf := key.Layout().RecordFloats()
-	st, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if want := key.partSize(p.lo, p.hi); st.Size() != want {
-		return fmt.Errorf("snapshot: part %s is %d bytes, want %d (truncated or foreign)", filepath.Base(p.path), st.Size(), want)
-	}
-	var hdr [partHdrBytes]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	checksum, tableCRC, err := key.checkPartHeader(hdr[:], p.lo, p.hi)
-	if err != nil {
-		return fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.path), err)
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	crc := uint32(0)
-	for rem := p.hi - p.lo; rem > 0; {
-		n := len(buf) / rf
-		if n > rem {
-			n = rem
-		}
-		chunk := buf[:n*rf]
-		b := floatBytes(chunk)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.path), err)
-		}
-		crc = crc32.Update(crc, crcTable, b)
-		if err := w.AppendUsers(chunk); err != nil {
-			return err
-		}
-		rem -= n
-	}
-	if uint64(crc) != checksum {
-		return fmt.Errorf("snapshot: part %s payload checksum %08x != header %08x (corrupt)", filepath.Base(p.path), crc, checksum)
-	}
-	table := make([]byte, 4*(p.hi-p.lo))
-	if _, err := io.ReadFull(br, table); err != nil {
-		return fmt.Errorf("snapshot: part %s table: %w", filepath.Base(p.path), err)
-	}
-	if got := crc32.Checksum(table, crcTable); uint64(got) != tableCRC {
-		return fmt.Errorf("snapshot: part %s record table checksum %08x != header %08x (corrupt)", filepath.Base(p.path), got, tableCRC)
-	}
-	return nil
 }

@@ -47,7 +47,6 @@
 package snapshot
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -203,9 +202,6 @@ func (l Layout) RecordFloats() int {
 // PayloadFloats returns the float64 count of the whole payload.
 func (l Layout) PayloadFloats() int { return l.Users * l.RecordFloats() }
 
-// RowsOff returns the record-relative float offset of the matrix rows.
-func (l Layout) RowsOff() int { return 0 }
-
 // SortedOff returns the record-relative float offset of one sorted
 // (week, feature) column (BinsPerWeek floats).
 func (l Layout) SortedOff(week, f int) int {
@@ -240,10 +236,12 @@ func bytesFloats(b []byte) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-func (k Key) encodeHeader(checksum uint32, payloadFloats int) []byte {
-	buf := make([]byte, headerBytes)
-	copy(buf, magic)
-	fields := []uint64{
+// headFields are the fields every file of the store opens with after
+// its magic — format and engine versions, every key field, bins per
+// week and the payload size of the full key — followed by extra, the
+// file kind's own fields. headFieldNames name the common ones.
+func (k Key) headFields(extra ...uint64) []uint64 {
+	return append([]uint64{
 		headerVersion,
 		EngineVersion,
 		k.Seed,
@@ -254,71 +252,111 @@ func (k Key) encodeHeader(checksum uint32, payloadFloats int) []byte {
 		math.Float64bits(k.HeavyFraction),
 		math.Float64bits(k.WeeklyTrend),
 		uint64(k.BinsPerWeek()),
-		uint64(payloadFloats),
-		uint64(checksum),
-	}
+		uint64(k.Layout().PayloadFloats()),
+	}, extra...)
+}
+
+var headFieldNames = []string{"header version", "engine version", "seed", "users", "weeks",
+	"bin width", "start micros", "heavy fraction", "weekly trend", "bins per week", "payload floats"}
+
+// encodeHead renders a file head: magic, then little-endian uint64
+// fields.
+func encodeHead(magic string, fields []uint64) []byte {
+	buf := make([]byte, 8+8*len(fields))
+	copy(buf, magic)
 	for i, v := range fields {
 		binary.LittleEndian.PutUint64(buf[8+8*i:], v)
 	}
 	return buf
 }
 
-// checkHeader validates a header against the key and returns the
-// payload float count and checksum it declares. The checksum comes
-// back as the full uint64 field so a flipped bit in its zero padding
-// is caught by the comparison, not silently truncated away.
-func (k Key) checkHeader(buf []byte) (payloadFloats int, checksum uint64, err error) {
-	if len(buf) < headerBytes || string(buf[:8]) != magic {
-		return 0, 0, fmt.Errorf("snapshot: bad magic (not a workspace snapshot)")
+// headField returns field i of a file head.
+func headField(buf []byte, i int) uint64 { return binary.LittleEndian.Uint64(buf[8+8*i:]) }
+
+// checkHead validates a file head: its magic, and that its leading
+// fields equal want, named in errors by headFieldNames then
+// extraNames. what names the file kind.
+func checkHead(buf []byte, magic, what string, want []uint64, extraNames ...string) error {
+	if len(buf) < 8+8*len(want) || string(buf[:8]) != magic {
+		return fmt.Errorf("snapshot: bad %s magic", what)
 	}
-	field := func(i int) uint64 { return binary.LittleEndian.Uint64(buf[8+8*i:]) }
-	checks := []struct {
-		name string
-		got  uint64
-		want uint64
-	}{
-		{"header version", field(0), headerVersion},
-		{"engine version", field(1), EngineVersion},
-		{"seed", field(2), k.Seed},
-		{"users", field(3), uint64(k.Users)},
-		{"weeks", field(4), uint64(k.Weeks)},
-		{"bin width", field(5), uint64(k.BinWidth.Microseconds())},
-		{"start micros", field(6), uint64(k.StartMicros)},
-		{"heavy fraction", field(7), math.Float64bits(k.HeavyFraction)},
-		{"weekly trend", field(8), math.Float64bits(k.WeeklyTrend)},
-		{"bins per week", field(9), uint64(k.BinsPerWeek())},
-	}
-	for _, c := range checks {
-		if c.got != c.want {
-			return 0, 0, fmt.Errorf("snapshot: %s mismatch (file %d, want %d)", c.name, c.got, c.want)
+	names := append(headFieldNames[:len(headFieldNames):len(headFieldNames)], extraNames...)
+	for i, w := range want {
+		if got := headField(buf, i); got != w {
+			return fmt.Errorf("snapshot: %s %s mismatch (file %d, want %d)", what, names[i], got, w)
 		}
 	}
-	return int(field(10)), field(11), nil
+	return nil
+}
+
+func (k Key) encodeHeader(checksum uint32) []byte {
+	return encodeHead(magic, k.headFields(uint64(checksum)))
+}
+
+// checkHeader validates a snapshot header against the key and returns
+// the checksum it declares. The checksum comes back as the full uint64
+// field so a flipped bit in its zero padding is caught by the
+// comparison, not silently truncated away.
+func (k Key) checkHeader(buf []byte) (checksum uint64, err error) {
+	if err := checkHead(buf, magic, "header", k.headFields()); err != nil {
+		return 0, err
+	}
+	return headField(buf, 11), nil
+}
+
+// openStore opens the key's sealed snapshot file, validates its size
+// and header, and returns it positioned at the payload together with
+// the checksum the header declares.
+func openStore(dir string, key Key) (f *os.File, checksum uint64, err error) {
+	path := key.Path(dir)
+	if f, err = os.Open(path); err != nil {
+		return nil, 0, err // fs.ErrNotExist on a cold store
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			f = nil
+		}
+	}()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("snapshot: %w", err)
+	}
+	if want := key.storeSize(); st.Size() != want {
+		return nil, 0, fmt.Errorf("snapshot: %s is %d bytes, want %d (truncated or foreign)", path, st.Size(), want)
+	}
+	var hdr [headerBytes]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return nil, 0, fmt.Errorf("snapshot: %w", err)
+	}
+	checksum, err = key.checkHeader(hdr[:])
+	return f, checksum, err
+}
+
+// storeSize returns the sealed snapshot's size in bytes.
+func (k Key) storeSize() int64 {
+	return int64(headerBytes) + int64(k.Layout().PayloadFloats())*8
+}
+
+// crcOf returns the CRC-32C of everything r yields, read through a
+// 1 MiB buffer.
+func crcOf(r io.Reader) (uint32, error) {
+	h := crc32.New(crcTable)
+	// The wrapper hides *os.File's WriteTo, which would read through
+	// a 32 KiB buffer instead.
+	_, err := io.CopyBuffer(h, struct{ io.Reader }{r}, make([]byte, 1<<20))
+	return h.Sum32(), err
 }
 
 // Writer streams one snapshot to disk: records are appended user by
 // user (or shard by shard) and the file becomes visible under its
 // content-addressed name only after Finish seals the checksum and
-// renames the temporary file into place — a crashed or aborted write
-// can never be mistaken for a valid snapshot.
+// commits the temporary file into place — a crashed or aborted write
+// can never be mistaken for a valid snapshot. The caller must either
+// Finish or Abort it.
 type Writer struct {
-	key   Key
-	lay   Layout
-	f     *os.File
-	bw    *bufio.Writer
-	crc   uint32
-	users int
-	tmp   string
-	final string
-	done  bool
-
-	// Manifest accounting, tracked record by record as users are
-	// appended: per-record CRC-32Cs plus the running CRC of each
-	// manifest shard (fixed ManifestShardUsers granularity, so every
-	// build strategy — single writer, merged parts — produces the
-	// identical manifest for the same key).
-	recCRCs   []uint32
-	shardCRCs []uint32
+	*recordFile
+	key Key
 }
 
 // StaleTempAge is how old an unsealed temp file must be before Create
@@ -353,118 +391,29 @@ func sweepStaleTemps(dir string) {
 }
 
 // Create opens a snapshot writer for key under dir (created if
-// missing). The caller must either Finish or Abort it.
+// missing).
 func Create(dir string, key Key) (*Writer, error) {
 	if err := key.validate(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	sweepStaleTemps(dir)
-	final := key.Path(dir)
-	// A per-writer unique temp name: concurrent cold builds of the
-	// same key (two goroutines, two processes) must never share a
-	// temp file, or they would interleave writes and seal a corrupt
-	// snapshot. Whoever renames last wins; both results are
-	// byte-identical anyway.
-	f, err := os.CreateTemp(dir, key.Filename()+".tmp*")
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	w := &Writer{key: key, lay: key.Layout(), f: f,
-		bw: bufio.NewWriterSize(f, 1<<20), tmp: f.Name(), final: final}
+	lay := key.Layout()
 	// Header placeholder; Finish rewrites it with the checksum.
-	if _, err := w.bw.Write(key.encodeHeader(0, w.lay.PayloadFloats())); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("snapshot: %w", err)
+	r, err := newRecordFile(key.Path(dir), lay, lay.Users, key.encodeHeader(0))
+	if err != nil {
+		return nil, err
 	}
-	return w, nil
-}
-
-// Layout returns the writer's payload geometry.
-func (w *Writer) Layout() Layout { return w.lay }
-
-// AppendUsers appends whole user records (len must be a multiple of
-// Layout().RecordFloats()) in user order.
-func (w *Writer) AppendUsers(recs []float64) error {
-	rf := w.lay.RecordFloats()
-	if len(recs)%rf != 0 {
-		return fmt.Errorf("snapshot: AppendUsers got %d floats, not a multiple of the %d-float record", len(recs), rf)
-	}
-	n := len(recs) / rf
-	if w.users+n > w.lay.Users {
-		return fmt.Errorf("snapshot: appending %d users past the declared %d", w.users+n, w.lay.Users)
-	}
-	b := floatBytes(recs)
-	w.crc = crc32.Update(w.crc, crcTable, b)
-	for i := 0; i < n; i++ {
-		rb := b[i*rf*8 : (i+1)*rf*8]
-		w.recCRCs = append(w.recCRCs, crc32.Checksum(rb, crcTable))
-		si := (w.users + i) / ManifestShardUsers
-		if si == len(w.shardCRCs) {
-			w.shardCRCs = append(w.shardCRCs, 0)
-		}
-		w.shardCRCs[si] = crc32.Update(w.shardCRCs[si], crcTable, rb)
-	}
-	if _, err := w.bw.Write(b); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	w.users += n
-	return nil
+	return &Writer{recordFile: r, key: key}, nil
 }
 
 // Finish seals the snapshot: all users must have been appended. It
-// flushes, patches the header checksum, syncs and atomically renames
-// the file into place.
+// patches the header checksum, commits the file into place, then
+// seals the manifest sidecar.
 func (w *Writer) Finish() error {
-	if w.done {
-		return fmt.Errorf("snapshot: writer already finished")
+	if err := w.complete(); err != nil {
+		return err
 	}
-	if w.users != w.lay.Users {
-		w.Abort()
-		return fmt.Errorf("snapshot: %d of %d users appended", w.users, w.lay.Users)
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if _, err := w.f.WriteAt(w.key.encodeHeader(w.crc, w.lay.PayloadFloats()), 0); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		w.Abort()
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	w.done = true
-	if err := os.Rename(w.tmp, w.final); err != nil {
-		os.Remove(w.tmp)
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	// The manifest seals after the snapshot so a reader can never see
-	// a manifest without its store. A failed manifest write degrades
-	// the store to manifest-less (OpenUser errors, full Open still
-	// works), which is strictly better than no snapshot at all.
-	if err := writeManifest(w.final+manifestSuffix, w.key, w.shardCRCs, w.recCRCs); err != nil {
-		return fmt.Errorf("snapshot: manifest: %w", err)
-	}
-	return nil
-}
-
-// Abort discards the partial snapshot. Safe to call after a failed
-// Finish or on any error path; never clobbers a sealed file.
-func (w *Writer) Abort() {
-	if w.done {
-		return
-	}
-	w.done = true
-	_ = w.f.Close()
-	_ = os.Remove(w.tmp)
+	s := recordShift(w.lay)
+	return sealStore(w.tempFile, w.key, w.key.encodeHeader(s.fold(w.recCRCs)), w.recCRCs)
 }
 
 // Snapshot is an open, validated, memory-mapped workspace snapshot.
@@ -497,48 +446,21 @@ func Open(dir string, key Key) (*Snapshot, error) {
 	if err := key.validate(); err != nil {
 		return nil, err
 	}
-	lay := key.Layout()
-	path := key.Path(dir)
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err // fs.ErrNotExist on a cold store
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	wantSize := int64(headerBytes) + int64(lay.PayloadFloats())*8
-	if st.Size() != wantSize {
-		return nil, fmt.Errorf("snapshot: %s is %d bytes, want %d (truncated or foreign)", path, st.Size(), wantSize)
-	}
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	payloadFloats, checksum, err := key.checkHeader(hdr[:])
+	f, checksum, err := openStore(dir, key)
 	if err != nil {
 		return nil, err
 	}
-	if payloadFloats != lay.PayloadFloats() {
-		return nil, fmt.Errorf("snapshot: payload declares %d floats, layout needs %d", payloadFloats, lay.PayloadFloats())
-	}
-	crc := uint32(0)
-	buf := make([]byte, 1<<20)
-	for {
-		n, err := f.Read(buf)
-		crc = crc32.Update(crc, crcTable, buf[:n])
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: %w", err)
-		}
+	defer f.Close()
+	crc, err := crcOf(f)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	if uint64(crc) != checksum {
 		return nil, fmt.Errorf("snapshot: payload checksum %08x != header %08x (corrupt)", crc, checksum)
 	}
-	data, unmap, err := mapFile(path, int(wantSize))
+	lay := key.Layout()
+	path := key.Path(dir)
+	data, unmap, err := mapFile(path, int(key.storeSize()))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
@@ -587,31 +509,41 @@ func (s *Snapshot) User(u int) []float64 {
 
 // Rows returns user u's matrix rows as a zero-copy view of the
 // mapping (bin-major, canonical feature order).
-func (s *Snapshot) Rows(u int) [][features.NumFeatures]float64 {
-	rec := s.User(u)
-	bins := s.lay.Bins()
-	return unsafe.Slice((*[features.NumFeatures]float64)(unsafe.Pointer(&rec[0])), bins)
-}
+func (s *Snapshot) Rows(u int) [][features.NumFeatures]float64 { return s.lay.RowsOf(s.User(u)) }
 
 // SortedColumn returns user u's sorted (week, feature) column.
 func (s *Snapshot) SortedColumn(u, week, f int) []float64 {
-	s.lay.checkWeekFeature(week, f)
-	rec := s.User(u)
-	off := s.lay.SortedOff(week, f)
-	return rec[off : off+s.lay.BinsPerWeek : off+s.lay.BinsPerWeek]
+	return s.lay.sortedColumn(s.User(u), week, f)
 }
 
 // DayColumns returns user u's (week, feature) day view: 7 per-day
 // sorted slices sharing one contiguous run of the mapping.
 func (s *Snapshot) DayColumns(u, week, f int) [][]float64 {
-	s.lay.checkWeekFeature(week, f)
-	rec := s.User(u)
-	off := s.lay.DayOff(week, f)
-	bpd := s.lay.BinsPerDay
+	return s.lay.dayColumns(s.User(u), week, f)
+}
+
+// RowsOf reinterprets a record's rows region as matrix rows
+// (bin-major, canonical feature order).
+func (l Layout) RowsOf(rec []float64) [][features.NumFeatures]float64 {
+	return unsafe.Slice((*[features.NumFeatures]float64)(unsafe.Pointer(&rec[0])), l.Bins())
+}
+
+// sortedColumn returns a record's sorted (week, feature) column.
+func (l Layout) sortedColumn(rec []float64, week, f int) []float64 {
+	l.checkWeekFeature(week, f)
+	off := l.SortedOff(week, f)
+	return rec[off : off+l.BinsPerWeek : off+l.BinsPerWeek]
+}
+
+// dayColumns returns a record's (week, feature) day view: 7 per-day
+// sorted slices sharing one contiguous run of the record.
+func (l Layout) dayColumns(rec []float64, week, f int) [][]float64 {
+	l.checkWeekFeature(week, f)
+	off := l.DayOff(week, f)
 	days := make([][]float64, 7)
-	for d := 0; d < 7; d++ {
-		lo := off + d*bpd
-		days[d] = rec[lo : lo+bpd : lo+bpd]
+	for d := range days {
+		lo := off + d*l.BinsPerDay
+		days[d] = rec[lo : lo+l.BinsPerDay : lo+l.BinsPerDay]
 	}
 	return days
 }

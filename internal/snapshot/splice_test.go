@@ -1,13 +1,17 @@
 package snapshot
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -242,4 +246,103 @@ func TestCutRanges(t *testing.T) {
 		w[9] = 1e9
 		tile(t, CutRanges(w, 4), 10, 4)
 	})
+}
+
+// MergeShardsStreaming is the oracle MergeShards is pinned against: it
+// replays every part record through an ordinary Writer — recomputing
+// every record CRC from the payload floats instead of trusting the
+// parts' tables — and seals the snapshot + manifest a single writer
+// would. The splice's CRC algebra must reproduce its bytes exactly. On
+// success the consumed part files are removed.
+func MergeShardsStreaming(dir string, key Key) (int, error) {
+	if err := key.validate(); err != nil {
+		return 0, err
+	}
+	parts, err := findParts(dir, key)
+	if err != nil {
+		return 0, err
+	}
+	if err := checkPartTiling(parts, key, dir); err != nil {
+		return 0, err
+	}
+	w, err := Create(dir, key)
+	if err != nil {
+		return 0, err
+	}
+	lay := key.Layout()
+	rf := lay.RecordFloats()
+	// Chunked whole-record copies through a float64 buffer: reading
+	// into floatBytes of a []float64 keeps the 8-byte alignment
+	// AppendUsers' reinterpretation needs.
+	chunkRecs := (1 << 20) / (rf * 8)
+	if chunkRecs < 1 {
+		chunkRecs = 1
+	}
+	buf := make([]float64, chunkRecs*rf)
+	for _, p := range parts {
+		if err := mergeOnePart(w, key, p, buf); err != nil {
+			w.Abort()
+			return 0, err
+		}
+	}
+	if err := w.Finish(); err != nil {
+		return 0, err
+	}
+	for _, p := range parts {
+		_ = os.Remove(p.Path)
+	}
+	return len(parts), nil
+}
+
+func mergeOnePart(w *Writer, key Key, p PartInfo, buf []float64) error {
+	f, err := os.Open(p.Path)
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	defer f.Close()
+	rf := key.Layout().RecordFloats()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	if want := key.partSize(p.Lo, p.Hi); st.Size() != want {
+		return fmt.Errorf("snapshot: part %s is %d bytes, want %d (truncated or foreign)", filepath.Base(p.Path), st.Size(), want)
+	}
+	var hdr [partHdrBytes]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	checksum, tableCRC, err := key.checkPartHeader(hdr[:], p.Lo, p.Hi)
+	if err != nil {
+		return fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.Path), err)
+	}
+	br := bufio.NewReaderSize(f, 1<<20)
+	crc := uint32(0)
+	for rem := p.Hi - p.Lo; rem > 0; {
+		n := len(buf) / rf
+		if n > rem {
+			n = rem
+		}
+		chunk := buf[:n*rf]
+		b := floatBytes(chunk)
+		if _, err := io.ReadFull(br, b); err != nil {
+			return fmt.Errorf("snapshot: part %s: %w", filepath.Base(p.Path), err)
+		}
+		crc = crc32.Update(crc, crcTable, b)
+		if err := w.AppendUsers(chunk); err != nil {
+			return err
+		}
+		rem -= n
+	}
+	if uint64(crc) != checksum {
+		return fmt.Errorf("snapshot: part %s payload checksum %08x != header %08x (corrupt)", filepath.Base(p.Path), crc, checksum)
+	}
+	table := make([]byte, 4*(p.Hi-p.Lo))
+	if _, err := io.ReadFull(br, table); err != nil {
+		return fmt.Errorf("snapshot: part %s table: %w", filepath.Base(p.Path), err)
+	}
+	if got := crc32.Checksum(table, crcTable); uint64(got) != tableCRC {
+		return fmt.Errorf("snapshot: part %s record table checksum %08x != header %08x (corrupt)", filepath.Base(p.Path), got, tableCRC)
+	}
+	return nil
 }

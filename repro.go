@@ -22,7 +22,9 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"strconv"
 	"sync"
@@ -30,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/buildctl"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/snapshot"
@@ -68,11 +71,11 @@ type Options struct {
 	// directory.
 	SnapshotShard int
 	// SnapshotWorkers > 1 makes a cold materialization build the
-	// snapshot as that many independently sealed shard parts merged
-	// into the canonical (byte-identical) store — the in-process form
-	// of the distributed build cmd/tracegen coordinates across
-	// processes. <= 1 keeps the single streaming build. Ignored
-	// without a snapshot directory.
+	// snapshot as that many user ranges through internal/buildctl —
+	// the coordinator cmd/tracegen also drives across processes and
+	// hosts — each sealed as a part and merged into the canonical
+	// (byte-identical) store. <= 1 keeps the single streaming build.
+	// Ignored without a snapshot directory.
 	SnapshotWorkers int
 	// StreamShard arms bounded-heap streaming evaluation on a mapped
 	// snapshot workspace: population-wide analyses iterate the store
@@ -236,19 +239,12 @@ func (e *Enterprise) buildWorkspace() *analysis.Workspace {
 		if key, err := e.snapshotKey(); err == nil {
 			// Warm: map the existing snapshot, skipping generation
 			// entirely. Cold (or stale/corrupt, which Load rejects):
-			// stream the population into the store in bounded shards
-			// and map the result. Any failure — unwritable directory,
-			// full disk, … — falls through to the in-memory build
-			// rather than failing the run, but is surfaced through
-			// Warnf so operators can tell a fallback from a warm map.
-			ws, _, err := analysis.LoadOrMaterialize(context.Background(), e.snapDir, key, e.snapShard, e.snapWorkers, e.Pop.CostWeights(),
-				func(stage string, werr error) {
-					e.warnf("snapshot %s fallback (%s): %v", stage, e.snapDir, werr)
-				},
-				func(u int, rows [][features.NumFeatures]float64) {
-					e.Pop.Users[u].FillSeries(rows)
-				})
-			if err == nil {
+			// build the store and map the result. Any failure —
+			// unwritable directory, full disk, … — falls through to
+			// the in-memory build rather than failing the run, but is
+			// surfaced through Warnf so operators can tell a fallback
+			// from a warm map.
+			if ws, err := e.loadSnapshot(key); err == nil {
 				ws.SetStreamShard(e.streamShard)
 				return ws
 			}
@@ -266,6 +262,46 @@ func (e *Enterprise) buildWorkspace() *analysis.Workspace {
 		})
 		return e.matrices[u]
 	})
+}
+
+// loadSnapshot maps the enterprise's snapshot, cold-building it when
+// missing: in one streaming pass, or with SnapshotWorkers > 1 as that
+// many user ranges through the build coordinator. Both seal the same
+// bytes.
+func (e *Enterprise) loadSnapshot(key snapshot.Key) (*analysis.Workspace, error) {
+	warn := func(stage string, werr error) {
+		e.warnf("snapshot %s fallback (%s): %v", stage, e.snapDir, werr)
+	}
+	gen := func(u int, rows [][features.NumFeatures]float64) {
+		e.Pop.Users[u].FillSeries(rows)
+	}
+	if e.snapWorkers <= 1 {
+		ws, _, err := analysis.LoadOrMaterialize(context.Background(), e.snapDir, key, e.snapShard, warn, gen)
+		return ws, err
+	}
+	ws, err := analysis.Load(e.snapDir, key)
+	if err == nil {
+		return ws, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		warn("load", err)
+	}
+	_, err = buildctl.Build(context.Background(), buildctl.Options{
+		Dir: e.snapDir, Key: key,
+		Worker:   &buildctl.LocalWorker{Dir: e.snapDir, Key: key, ShardUsers: e.snapShard, Generate: gen},
+		Parallel: e.snapWorkers, Weights: e.Pop.CostWeights(),
+		// In-process attempts fail for reasons neither a retry nor a
+		// duplicate on the same cores can fix: fail fast and fall
+		// back to the in-memory build.
+		MaxAttempts: 1, HedgeFactor: -1,
+	})
+	if err == nil {
+		ws, err = analysis.Load(e.snapDir, key)
+	}
+	if err != nil {
+		warn("materialize", err)
+	}
+	return ws, err
 }
 
 // TrainTest extracts every user's train-week and test-week series of

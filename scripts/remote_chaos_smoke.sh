@@ -3,7 +3,7 @@
 #
 # The multi-host build transport at the process level: two
 # `tracegen -serve` daemons come up on loopback ephemeral ports, a
-# `tracegen -coordinate -hosts` build dispatches ranges to them and
+# `tracegen -hosts` build dispatches ranges to them and
 # streams sealed parts back, daemon B is SIGKILLed while the first
 # build is in flight, the build halts once (-halt-after) and a second
 # invocation resumes against the surviving daemon — re-fetching only
@@ -54,7 +54,7 @@ echo "remote-chaos-smoke: daemons at $ADDR_A (pid $PID_A) and $ADDR_B (pid $PID_
 ( sleep 0.15; echo "remote-chaos-smoke: SIGKILL daemon B ($PID_B)"; kill -9 "$PID_B" 2>/dev/null || true ) &
 KILLER=$!
 "$TRACEGEN" -snapshot "$STORE" -users 20 -weeks 2 -seed 1 \
-    -coordinate -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 -halt-after 1 \
+    -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 -halt-after 1 \
     | tee "$DIR/run1.out"
 wait "$KILLER" 2>/dev/null || true
 PID_B=
@@ -63,12 +63,12 @@ PID_B=
 # quarantines the dead host and the surviving daemon carries the
 # remaining ranges; parts already streamed are found sealed on disk.
 "$TRACEGEN" -snapshot "$STORE" -users 20 -weeks 2 -seed 1 \
-    -coordinate -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 \
+    -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 \
     | tee "$DIR/run2.out"
 
 # Build 2: the other suite key, one dead host steady state.
 "$TRACEGEN" -snapshot "$STORE" -users 40 -weeks 2 -seed 7 \
-    -coordinate -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 \
+    -hosts "$ADDR_A,$ADDR_B" -workers 2 -ranges 4 -retries 8 -chunk 2048 \
     | tee "$DIR/run3.out"
 
 # Every coordinator run must have printed its one-line transport

@@ -8,6 +8,7 @@ package repro
 // to an error.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -93,6 +94,44 @@ func TestEnterpriseSnapshotColdWarmMatchesInMemory(t *testing.T) {
 	}
 	if !after.ModTime().Equal(before.ModTime()) || after.Size() != before.Size() {
 		t.Fatal("warm run rewrote the snapshot instead of mapping it")
+	}
+}
+
+// TestEnterpriseSnapshotWorkersByteIdentical pins the two cold build
+// paths of the enterprise to each other: SnapshotWorkers 2 (user
+// ranges through the build coordinator) and 0 (one streaming pass)
+// must seal byte-identical snapshot and manifest files, and leave
+// nothing else in the store.
+func TestEnterpriseSnapshotWorkersByteIdentical(t *testing.T) {
+	var stores [2][][]byte
+	for i, workers := range []int{0, 2} {
+		dir := t.TempDir()
+		ent, err := NewEnterprise(Options{Users: 23, Weeks: 2, Seed: 5, SnapshotDir: dir, SnapshotShard: 4, SnapshotWorkers: workers,
+			Warnf: func(format string, args ...any) { t.Errorf("workers=%d: "+format, append([]any{workers}, args...)...) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent.Materialize()
+		ent.Close()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ents) != 2 {
+			t.Fatalf("workers=%d left %v in the store, want one .snap plus its .manifest", workers, ents)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[i] = append(stores[i], b)
+		}
+	}
+	for f := range stores[0] {
+		if !bytes.Equal(stores[0][f], stores[1][f]) {
+			t.Fatalf("file %d of the SnapshotWorkers 2 store differs from the single-pass build", f)
+		}
 	}
 }
 
