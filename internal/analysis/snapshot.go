@@ -11,9 +11,10 @@ package analysis
 //     sorting the same column yields the same slice).
 //   - Load maps a snapshot and builds a workspace whose matrices,
 //     sorted columns, distributions and day views alias the mapping.
-//     Only the raw time-ordered columns are rebuilt (lazily, per
-//     block): rows interleave the six features, so a raw column is
-//     the one view the file cannot serve as a contiguous run.
+//     Only the raw time-ordered columns are rebuilt, per block and
+//     only when Raw asks for them: rows interleave the six features,
+//     so a raw column is the one view the file cannot serve as a
+//     contiguous run.
 //   - MaterializeSharded streams a population through bounded
 //     user-shards straight into a snapshot writer — generate, derive,
 //     append, release — so peak heap is O(shard × record), not
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"io/fs"
 	"sort"
-	"sync"
 
 	"repro/internal/features"
 	"repro/internal/par"
@@ -84,28 +84,20 @@ func Load(dir string, key snapshot.Key) (*Workspace, error) {
 		return nil, err
 	}
 	lay := snap.Layout()
-	users, weeks, bpw := lay.Users, lay.Weeks, lay.BinsPerWeek
-	nBlocks := weeks * features.NumFeatures
-	w := &Workspace{
-		users:       users,
-		weeks:       weeks,
-		binsPerWeek: bpw,
-		binWidth:    key.BinWidth,
-		blocks:      make([]*block, nBlocks),
-		blockOnce:   make([]sync.Once, nBlocks),
-		memo:        make(map[string]*memoCell),
-		snap:        snap,
-	}
+	users := lay.Users
 	matSlab := make([]features.Matrix, users)
-	w.matrices = make([]*features.Matrix, users)
-	for u := range w.matrices {
+	matrices := make([]*features.Matrix, users)
+	for u := range matrices {
 		matSlab[u] = features.Matrix{
 			BinWidth:    key.BinWidth,
 			StartMicros: key.StartMicros,
 			Rows:        snap.Rows(u),
 		}
-		w.matrices[u] = &matSlab[u]
+		matrices[u] = &matSlab[u]
 	}
+	w := newWorkspace(matrices, users, lay.Weeks, lay.BinsPerWeek, key.BinWidth)
+	w.snap = snap
+	w.checks = newSortedChecks(len(w.blocks), users)
 	return w, nil
 }
 

@@ -32,7 +32,6 @@ package analysis
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/features"
@@ -73,19 +72,11 @@ func (w *Workspace) ViewRange(lo, hi int) *Workspace {
 	if lo < 0 || hi <= lo || hi > w.users {
 		panic(fmt.Sprintf("analysis: view range [%d, %d) outside population [0, %d)", lo, hi, w.users))
 	}
-	nBlocks := w.weeks * features.NumFeatures
-	return &Workspace{
-		matrices:    w.matrices[lo:hi:hi],
-		users:       hi - lo,
-		weeks:       w.weeks,
-		binsPerWeek: w.binsPerWeek,
-		binWidth:    w.binWidth,
-		blocks:      make([]*block, nBlocks),
-		blockOnce:   make([]sync.Once, nBlocks),
-		memo:        make(map[string]*memoCell),
-		snap:        w.snap,
-		userBase:    w.userBase + lo,
-	}
+	v := newWorkspace(w.matrices[lo:hi:hi], hi-lo, w.weeks, w.binsPerWeek, w.binWidth)
+	v.snap = w.snap
+	v.checks = w.checks
+	v.userBase = w.userBase + lo
+	return v
 }
 
 // StreamShards runs fn over the population in contiguous user-range
@@ -150,13 +141,7 @@ func (w *Workspace) streamAssignment(f features.Feature, trainWeek int, pol core
 		return nil, false, nil
 	}
 	err = w.StreamShards(0, func(view *Workspace, lo, hi int) error {
-		dists := view.Dists(f, trainWeek)
-		for u, d := range dists {
-			if err := plan.FoldUser(lo+u, d); err != nil {
-				return err
-			}
-		}
-		return nil
+		return plan.FoldUsers(lo, view.Dists(f, trainWeek))
 	})
 	if err != nil {
 		return nil, false, err

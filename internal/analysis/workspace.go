@@ -35,6 +35,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -55,12 +56,14 @@ type Workspace struct {
 	binWidth    time.Duration
 
 	// blocks[w*NumFeatures+f] is the lazily built columnar view of
-	// one (feature, week); blockOnce guards each build (NewGenerated
-	// fills every block eagerly and burns the onces; Load leaves them
-	// all unfired and ensureBlock wires each block from the mapped
-	// snapshot on first use).
+	// one (feature, week). blockOnce guards each block's sorted half
+	// (NewGenerated fills every block eagerly and burns the onces;
+	// Load leaves them all unfired and ensureBlock wires each block
+	// from the mapped snapshot on first use). On a snapshot-backed
+	// workspace rawOnce guards the raw half, built on first Raw.
 	blocks    []*block
 	blockOnce []sync.Once
+	rawOnce   []sync.Once
 
 	mu   sync.Mutex
 	memo map[string]*memoCell
@@ -70,6 +73,10 @@ type Workspace struct {
 	// columns and DaySorted its day views, instead of re-deriving
 	// either from the matrices.
 	snap *snapshot.Snapshot
+
+	// checks is shared by a snapshot-backed workspace and all of its
+	// views: the mapped sorted columns that already passed their scan.
+	checks *sortedChecks
 
 	// userBase offsets this workspace's local user indices into snap:
 	// a ViewRange shard over users [lo, hi) has userBase == lo and
@@ -85,16 +92,37 @@ type Workspace struct {
 	streamShard int
 }
 
+// newWorkspace allocates a workspace's columnar and memo state, every
+// block empty and unbuilt.
+func newWorkspace(matrices []*features.Matrix, users, weeks, bpw int, binWidth time.Duration) *Workspace {
+	nBlocks := weeks * features.NumFeatures
+	w := &Workspace{
+		matrices:    matrices,
+		users:       users,
+		weeks:       weeks,
+		binsPerWeek: bpw,
+		binWidth:    binWidth,
+		blocks:      make([]*block, nBlocks),
+		blockOnce:   make([]sync.Once, nBlocks),
+		rawOnce:     make([]sync.Once, nBlocks),
+		memo:        make(map[string]*memoCell),
+	}
+	for idx := range w.blocks {
+		w.blocks[idx] = &block{}
+	}
+	return w
+}
+
 // block is the columnar view of one (feature, week): every user's
 // time-ordered column, the sorted counterpart, and an Empirical
 // adopting the sorted slice. The per-user slices are carved out of
-// two block-wide slabs (or, for a snapshot-backed workspace, point
-// straight into the mapped file), so building a block costs O(1)
-// allocations instead of O(users).
+// block-wide slabs (or, for a snapshot-backed workspace, the sorted
+// ones point straight into the mapped file), so building a block
+// costs O(1) allocations instead of O(users).
 type block struct {
-	raw    [][]float64
 	sorted [][]float64
 	dists  []*stats.Empirical
+	raw    [][]float64
 
 	// rawBuf/sortedBuf back the per-user slices; emp backs dists.
 	// sortedBuf is nil when sorted views alias a snapshot mapping.
@@ -102,17 +130,59 @@ type block struct {
 	emp               []stats.Empirical
 }
 
-// newBlock allocates a block whose column slices will be carved from
-// two users×binsPerWeek slabs.
-func newBlock(users, bpw int) *block {
-	return &block{
-		raw:       make([][]float64, users),
-		sorted:    make([][]float64, users),
-		dists:     make([]*stats.Empirical, users),
-		rawBuf:    make([]float64, users*bpw),
-		sortedBuf: make([]float64, users*bpw),
-		emp:       make([]stats.Empirical, users),
+// allocSorted allocates the sorted half's headers for users columns;
+// allocRaw the raw half's headers and a users×bpw slab.
+func (b *block) allocSorted(users int) {
+	b.sorted = make([][]float64, users)
+	b.dists = make([]*stats.Empirical, users)
+	b.emp = make([]stats.Empirical, users)
+}
+
+func (b *block) allocRaw(users, bpw int) {
+	b.raw = make([][]float64, users)
+	b.rawBuf = make([]float64, users*bpw)
+}
+
+// allocFused allocates both halves plus the sorted slab, for the
+// in-memory fillUser path.
+func (b *block) allocFused(users, bpw int) {
+	b.allocSorted(users)
+	b.allocRaw(users, bpw)
+	b.sortedBuf = make([]float64, users*bpw)
+}
+
+// sortedChecks records which mapped sorted columns have passed the
+// malformed-writer scan (stats.CheckSorted), one bit per (block,
+// snapshot user). The checksum only proves the bytes are what the
+// writer produced, not that the writer was right, so every column is
+// scanned before its first use; the root workspace owns the bits and
+// its views share them, so later views, shards and runners adopt the
+// column without scanning it again. Two views racing on a column's
+// first use may both scan it, which is read-only and costs only time.
+type sortedChecks struct {
+	users int // bit index = block*users + snapshot user
+	bits  []atomic.Uint64
+	scans atomic.Int64 // columns scanned, for the exactly-once tests
+}
+
+func newSortedChecks(blocks, users int) *sortedChecks {
+	return &sortedChecks{users: users, bits: make([]atomic.Uint64, (blocks*users+63)/64)}
+}
+
+// check scans col, snapshot user u's sorted column of block idx,
+// unless an earlier call already passed it.
+func (c *sortedChecks) check(idx, u int, col []float64) error {
+	i := idx*c.users + u
+	word, bit := &c.bits[i/64], uint64(1)<<(i%64)
+	if word.Load()&bit != 0 {
+		return nil
 	}
+	c.scans.Add(1)
+	if err := stats.CheckSorted(col); err != nil {
+		return err
+	}
+	word.Or(bit)
+	return nil
 }
 
 type memoCell struct {
@@ -139,17 +209,7 @@ func New(matrices []*features.Matrix) *Workspace {
 			panic(fmt.Sprintf("analysis: user %d matrix geometry differs from user 0", u))
 		}
 	}
-	nBlocks := weeks * features.NumFeatures
-	return &Workspace{
-		matrices:    matrices,
-		users:       len(matrices),
-		weeks:       weeks,
-		binsPerWeek: m0.BinsPerWeek(),
-		binWidth:    m0.BinWidth,
-		blocks:      make([]*block, nBlocks),
-		blockOnce:   make([]sync.Once, nBlocks),
-		memo:        make(map[string]*memoCell),
-	}
+	return newWorkspace(matrices, len(matrices), weeks, m0.BinsPerWeek(), m0.BinWidth)
 }
 
 // NewGenerated builds a workspace whose matrices and columnar blocks
@@ -174,19 +234,9 @@ func NewGenerated(users int, matrixOf func(u int) *features.Matrix) *Workspace {
 	if weeks < 1 {
 		panic("analysis: matrices cover no complete week")
 	}
-	nBlocks := weeks * features.NumFeatures
-	w := &Workspace{
-		matrices:    matrices,
-		users:       users,
-		weeks:       weeks,
-		binsPerWeek: m0.BinsPerWeek(),
-		binWidth:    m0.BinWidth,
-		blocks:      make([]*block, nBlocks),
-		blockOnce:   make([]sync.Once, nBlocks),
-		memo:        make(map[string]*memoCell),
-	}
-	for idx := range w.blocks {
-		w.blocks[idx] = newBlock(users, w.binsPerWeek)
+	w := newWorkspace(matrices, users, weeks, m0.BinsPerWeek(), m0.BinWidth)
+	for _, b := range w.blocks {
+		b.allocFused(users, w.binsPerWeek)
 	}
 	par.ForEach(users, 0, func(u int) {
 		m := matrices[u]
@@ -251,9 +301,7 @@ func (w *Workspace) blockIndex(f features.Feature, week int) int {
 // (feature, week) into the block's slabs — the single source of truth
 // shared by the lazy ensureBlock path and the fused NewGenerated pass.
 func (b *block) fillUser(m *features.Matrix, u int, f features.Feature, week int, bpw int) {
-	lo, hi := m.WeekRange(week)
-	raw := b.rawBuf[u*bpw : (u+1)*bpw : (u+1)*bpw]
-	m.ColumnInto(raw, f, lo, hi)
+	raw := b.fillRaw(m, u, f, week, bpw)
 	sorted := b.sortedBuf[u*bpw : (u+1)*bpw : (u+1)*bpw]
 	copy(sorted, raw)
 	sort.Float64s(sorted)
@@ -262,66 +310,86 @@ func (b *block) fillUser(m *features.Matrix, u int, f features.Feature, week int
 		// complete week. Reaching here is a corrupted matrix.
 		panic(fmt.Sprintf("analysis: user %d %s week %d: %v", u, f, week, err))
 	}
-	b.raw[u] = raw
 	b.sorted[u] = sorted
 	b.dists[u] = &b.emp[u]
 }
 
-// ensureBlock builds the columnar view of one (feature, week) on
-// first use, fanning the per-user extract-and-sort over all CPUs. On
-// a snapshot-backed workspace the sorted columns (and the
-// distributions adopting them) are zero-copy views of the mapping —
-// only the raw time-ordered columns are materialized here, because
-// rows interleave the six features so a raw column is the one view
-// the file cannot serve as a contiguous run.
+// fillRaw extracts one user's time-ordered column of one (feature,
+// week) into the block's raw slab.
+func (b *block) fillRaw(m *features.Matrix, u int, f features.Feature, week int, bpw int) []float64 {
+	lo, hi := m.WeekRange(week)
+	raw := b.rawBuf[u*bpw : (u+1)*bpw : (u+1)*bpw]
+	m.ColumnInto(raw, f, lo, hi)
+	b.raw[u] = raw
+	return raw
+}
+
+// ensureBlock builds the sorted half of one (feature, week)'s
+// columnar view on first use, fanning the per-user work over all CPUs.
+// On a snapshot-backed workspace the sorted columns (and the
+// distributions adopting them) are zero-copy views of the mapping,
+// each scanned once per opened store (see sortedChecks), and the raw
+// half is left to rawBlock. An in-memory workspace extracts, sorts and
+// wraps each column in one fused fillUser pass, raw half included.
 func (w *Workspace) ensureBlock(f features.Feature, week int) *block {
 	idx := w.blockIndex(f, week)
+	b := w.blocks[idx]
 	w.blockOnce[idx].Do(func() {
-		bpw := w.binsPerWeek
-		var b *block
-		if w.snap != nil {
-			b = &block{
-				raw:    make([][]float64, w.users),
-				sorted: make([][]float64, w.users),
-				dists:  make([]*stats.Empirical, w.users),
-				rawBuf: make([]float64, w.users*bpw),
-				emp:    make([]stats.Empirical, w.users),
-			}
+		if w.snap == nil {
+			b.allocFused(w.users, w.binsPerWeek)
 			par.ForEach(w.users, 0, func(u int) {
-				s := w.snap.SortedColumn(w.userBase+u, week, int(f))
-				if err := b.emp[u].AdoptSorted(s); err != nil {
-					// The checksum passed, so this is a logically
-					// malformed writer, not disk corruption.
-					panic(fmt.Sprintf("analysis: snapshot user %d %s week %d: %v", w.userBase+u, f, week, err))
-				}
-				b.sorted[u] = s
-				b.dists[u] = &b.emp[u]
-				m := w.matrices[u]
-				lo, hi := m.WeekRange(week)
-				raw := b.rawBuf[u*bpw : (u+1)*bpw : (u+1)*bpw]
-				m.ColumnInto(raw, f, lo, hi)
-				b.raw[u] = raw
+				b.fillUser(w.matrices[u], u, f, week, w.binsPerWeek)
 			})
-		} else {
-			b = newBlock(w.users, bpw)
-			par.ForEach(w.users, 0, func(u int) {
-				b.fillUser(w.matrices[u], u, f, week, bpw)
-			})
+			return
 		}
-		w.blocks[idx] = b
+		b.allocSorted(w.users)
+		par.ForEach(w.users, 0, func(u int) {
+			su := w.userBase + u
+			s := w.snap.SortedColumn(su, week, int(f))
+			if err := w.checks.check(idx, su, s); err != nil {
+				// The checksum passed, so this is a logically
+				// malformed writer, not disk corruption.
+				panic(fmt.Sprintf("analysis: snapshot user %d %s week %d: %v", su, f, week, err))
+			}
+			b.emp[u].AdoptChecked(s)
+			b.sorted[u] = s
+			b.dists[u] = &b.emp[u]
+		})
 	})
-	return w.blocks[idx]
+	return b
+}
+
+// rawBlock returns the block of one (feature, week) with its raw half
+// built. On a snapshot-backed workspace the raw time-ordered columns
+// are extracted from the mapped rows on the first call, under their
+// own once and without touching the sorted half: rows interleave the
+// six features, so a raw column is the one view the file cannot serve
+// as a contiguous run, and most readers (quantiles, frontiers,
+// assignments) never ask for one.
+func (w *Workspace) rawBlock(f features.Feature, week int) *block {
+	if w.snap == nil {
+		return w.ensureBlock(f, week)
+	}
+	idx := w.blockIndex(f, week)
+	b := w.blocks[idx]
+	w.rawOnce[idx].Do(func() {
+		b.allocRaw(w.users, w.binsPerWeek)
+		par.ForEach(w.users, 0, func(u int) {
+			b.fillRaw(w.matrices[u], u, f, week, w.binsPerWeek)
+		})
+	})
+	return b
 }
 
 // Raw returns every user's time-ordered column of one feature-week.
 // The slices are shared: callers must not modify them.
 func (w *Workspace) Raw(f features.Feature, week int) [][]float64 {
-	return w.ensureBlock(f, week).raw
+	return w.rawBlock(f, week).raw
 }
 
 // RawUser returns one user's time-ordered column (shared, read-only).
 func (w *Workspace) RawUser(u int, f features.Feature, week int) []float64 {
-	return w.ensureBlock(f, week).raw[u]
+	return w.rawBlock(f, week).raw[u]
 }
 
 // Sorted returns every user's pre-sorted column of one feature-week

@@ -2,6 +2,7 @@ package console
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net"
 	"testing"
@@ -12,25 +13,28 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestReadMsgSurvivesGarbage hammers the frame reader with random
-// bytes: it must return errors, never panic, and never allocate an
-// unbounded buffer.
-func TestReadMsgSurvivesGarbage(t *testing.T) {
-	rng := xrand.New(7)
-	for trial := 0; trial < 500; trial++ {
-		n := rng.Intn(64)
-		buf := make([]byte, n)
-		for i := range buf {
-			buf[i] = byte(rng.Intn(256))
+// FuzzReadMsg feeds arbitrary bytes to the frame reader (seeds under
+// testdata/fuzz/FuzzReadMsg). It must return an error or one frame,
+// never panic, never hand back a body past MaxFrame, and a frame it
+// accepts must re-encode to exactly the bytes it consumed.
+func FuzzReadMsg(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		typ, body, err := ReadMsg(r)
+		if err != nil {
+			return
 		}
-		// Clamp the length prefix occasionally so the body read path
-		// is exercised too.
-		if n >= 5 && rng.Intn(2) == 0 {
-			buf[0] = byte(rng.Intn(16))
-			buf[1], buf[2], buf[3] = 0, 0, 0
+		if len(body) > MaxFrame {
+			t.Fatalf("accepted a %d-byte body, MaxFrame is %d", len(body), MaxFrame)
 		}
-		_, _, _ = ReadMsg(bytes.NewReader(buf))
-	}
+		frame := make([]byte, 5+len(body))
+		binary.LittleEndian.PutUint32(frame, uint32(len(body)))
+		frame[4] = byte(typ)
+		copy(frame[5:], body)
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(frame, consumed) {
+			t.Fatalf("accepted frame does not re-encode to the %d bytes it consumed", len(consumed))
+		}
+	})
 }
 
 // TestServerSurvivesGarbageConnections connects raw sockets that

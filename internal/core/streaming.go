@@ -14,7 +14,7 @@ import (
 // of all resident at once. The protocol is
 //
 //	plan, _ := NewStreamPlan(policy, stat, attack)
-//	// fan FoldUser(u, dist) over shards/workers, each user exactly once
+//	// fan FoldUsers(lo, dists) over shards/workers, each user exactly once
 //	asn, _ := plan.Finish()
 //
 // and the resulting Assignment is bit-identical to
@@ -23,7 +23,11 @@ import (
 // distribution (whose samples are exactly the merged copy ConfigureWith
 // would build), and multi-user groups fold members into a
 // stats.Compressed accumulator whose quantiles and threshold frontier
-// reproduce the merged sorted column operand for operand. The fold is
+// reproduce the merged sorted column operand for operand. A shard's
+// members of one group are merged among themselves first, into a
+// shard-local accumulator (stats.Compressed.AddEmpiricals), and that
+// is merged into the group's accumulator under one lock acquisition.
+// The fold is
 // associative and commutative — the accumulator state depends only on
 // the multiset of samples — so worker scheduling cannot change the
 // result.
@@ -46,7 +50,9 @@ type StreamPlan struct {
 
 	thresholds []float64
 	groupThr   []float64
-	folded     atomic.Int64
+	// folded[u] is set by the fold that presented user u; a second
+	// fold of u is rejected and Finish names the first unfolded user.
+	folded []atomic.Bool
 }
 
 // NewStreamPlan partitions the population with the policy's grouping
@@ -74,6 +80,7 @@ func NewStreamPlan(policy Policy, stat []float64, attack []float64) (*StreamPlan
 		mu:         make([]sync.Mutex, len(groups)),
 		thresholds: make([]float64, n),
 		groupThr:   make([]float64, len(groups)),
+		folded:     make([]atomic.Bool, n),
 	}
 	for g, grp := range groups {
 		for _, u := range grp {
@@ -100,36 +107,72 @@ func streamableHeuristic(h Heuristic) bool {
 	return false
 }
 
-// FoldUser presents user u's training distribution. Each user must be
-// folded exactly once; concurrent calls for distinct users are safe.
-// The distribution is not retained — its samples are either consumed
-// into a threshold immediately (singleton groups) or merged into the
-// group accumulator — so shard-backed callers may release the backing
-// memory as soon as the call returns.
-func (p *StreamPlan) FoldUser(u int, dist *stats.Empirical) error {
-	if u < 0 || u >= len(p.groupOf) {
-		return fmt.Errorf("core: user %d outside population of %d", u, len(p.groupOf))
+// foldScratch recycles the shard-local accumulators of FoldUsers, so
+// a worker's steady-state fold scratch is the runs of one shard's
+// samples: O(shard × binsPerWeek) at worst, in practice the shard's
+// distinct values.
+var foldScratch = sync.Pool{New: func() any { return new(stats.Compressed) }}
+
+// FoldUsers presents the training distributions of users lo, lo+1, …,
+// lo+len(dists)-1 (typically one shard). Each user must be folded
+// exactly once over the plan's life: a second fold of a user is an
+// error. Concurrent calls over disjoint users are safe. The
+// distributions are not retained — a singleton group's threshold is
+// computed on the spot, and the members of each multi-user group are
+// merged into a shard-local accumulator that is then merged into the
+// group's under its lock, once per call — so shard-backed callers may
+// release the backing memory as soon as the call returns.
+func (p *StreamPlan) FoldUsers(lo int, dists []*stats.Empirical) error {
+	n := len(p.groupOf)
+	if lo < 0 || lo+len(dists) > n {
+		return fmt.Errorf("core: users [%d, %d) outside population of %d", lo, lo+len(dists), n)
 	}
-	if dist == nil || dist.N() == 0 {
-		return fmt.Errorf("core: user %d has no training data", u)
+	for i, d := range dists {
+		if d == nil || d.N() == 0 {
+			return fmt.Errorf("core: user %d has no training data", lo+i)
+		}
 	}
-	g := p.groupOf[u]
-	if len(p.groups[g]) == 1 {
+	for i := range dists {
+		if !p.folded[lo+i].CompareAndSwap(false, true) {
+			return fmt.Errorf("core: user %d folded twice", lo+i)
+		}
+	}
+	// Bucket the multi-user groups' members, groups in first-seen
+	// order; singletons are done here.
+	var order []int
+	members := make(map[int][]*stats.Empirical)
+	for i, d := range dists {
+		u := lo + i
+		g := p.groupOf[u]
+		if len(p.groups[g]) > 1 {
+			if members[g] == nil {
+				order = append(order, g)
+			}
+			members[g] = append(members[g], d)
+			continue
+		}
 		// A singleton group's merged distribution is a copy of the
 		// member's own, so Threshold on the member's distribution is
 		// the exact ConfigureWith result without the copy.
-		t, err := p.policy.Heuristic.Threshold(dist, p.attack)
+		t, err := p.policy.Heuristic.Threshold(d, p.attack)
 		if err != nil {
 			return fmt.Errorf("core: heuristic %s on group %d: %w", p.policy.Heuristic.Name(), g, err)
 		}
 		p.thresholds[u] = t
 		p.groupThr[g] = t
-	} else {
+	}
+	if len(order) == 0 {
+		return nil
+	}
+	local := foldScratch.Get().(*stats.Compressed)
+	defer foldScratch.Put(local)
+	for _, g := range order {
+		local.Reset()
+		local.AddEmpiricals(members[g])
 		p.mu[g].Lock()
-		p.acc[g].AddEmpirical(dist)
+		p.acc[g].Merge(local)
 		p.mu[g].Unlock()
 	}
-	p.folded.Add(1)
 	return nil
 }
 
@@ -137,8 +180,16 @@ func (p *StreamPlan) FoldUser(u int, dist *stats.Empirical) error {
 // accumulators and assembles the Assignment.
 func (p *StreamPlan) Finish() (*Assignment, error) {
 	n := len(p.groupOf)
-	if got := p.folded.Load(); got != int64(n) {
-		return nil, fmt.Errorf("core: streaming configure folded %d of %d users", got, n)
+	missing, folded := -1, 0
+	for u := range p.folded {
+		if p.folded[u].Load() {
+			folded++
+		} else if missing < 0 {
+			missing = u
+		}
+	}
+	if missing >= 0 {
+		return nil, fmt.Errorf("core: streaming configure folded %d of %d users; user %d was never folded", folded, n, missing)
 	}
 	for g, grp := range p.groups {
 		if len(grp) == 1 {

@@ -46,7 +46,7 @@ func foldPlan(t *testing.T, policy Policy, dists []*stats.Empirical, attack []fl
 	}
 	if err := par.ForEachErr(len(order), workers, func(i int) error {
 		u := order[i]
-		return plan.FoldUser(u, dists[u])
+		return plan.FoldUsers(u, dists[u:u+1])
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +156,8 @@ func TestStreamPlanErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u, d := range dists {
-		if err := plan.FoldUser(u, d); err != nil {
-			t.Fatal(err)
-		}
+	if err := plan.FoldUsers(0, dists); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := plan.Finish(); err == nil ||
 		!strings.Contains(err.Error(), "requires attack magnitudes") {
@@ -171,7 +169,7 @@ func TestStreamPlanErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.FoldUser(0, dists[0]); err != nil {
+	if err := plan.FoldUsers(0, dists[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plan.Finish(); err == nil || !strings.Contains(err.Error(), "folded 1 of 8") {
@@ -179,10 +177,92 @@ func TestStreamPlanErrors(t *testing.T) {
 	}
 
 	// Out-of-range and empty users error rather than corrupt.
-	if err := plan.FoldUser(99, dists[0]); err == nil {
+	if err := plan.FoldUsers(99, dists[:1]); err == nil {
 		t.Fatal("out-of-range user accepted")
 	}
-	if err := plan.FoldUser(1, nil); err == nil || !strings.Contains(err.Error(), "no training data") {
+	if err := plan.FoldUsers(7, dists[:2]); err == nil {
+		t.Fatal("range running past the population accepted")
+	}
+	if err := plan.FoldUsers(1, []*stats.Empirical{nil}); err == nil || !strings.Contains(err.Error(), "no training data") {
 		t.Fatalf("nil dist: err = %v", err)
+	}
+}
+
+// TestStreamPlanRejectsDoubleFold pins the folded marks: a fold count
+// alone would let user 3 folded twice stand in for user 4 never
+// folded, and Finish would return a wrong assignment. The second fold
+// of a user must fail, and Finish must name the user left out.
+func TestStreamPlanRejectsDoubleFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dists := streamTrain(rng, 8)
+	stat := make([]float64, len(dists))
+	for u, d := range dists {
+		stat[u] = d.MustQuantile(0.99)
+	}
+	plan, err := NewStreamPlan(Policy{Heuristic: Percentile{Q: 0.99}, Grouping: Homogeneous{}}, stat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.FoldUsers(0, dists[:4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.FoldUsers(3, dists[3:4]); err == nil || !strings.Contains(err.Error(), "user 3 folded twice") {
+		t.Fatalf("second fold of user 3: err = %v", err)
+	}
+	if err := plan.FoldUsers(5, dists[5:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.Finish(); err == nil || !strings.Contains(err.Error(), "user 4 was never folded") {
+		t.Fatalf("Finish with user 4 unfolded: err = %v", err)
+	}
+}
+
+// TestFoldUsersShardsMatchConfigure folds the population in contiguous
+// shards of 1, 7 and n users, shards in parallel, under every policy
+// the runners configure (monoculture, partial and full diversity, each
+// with Percentile and UtilityOptimal): the assignment must equal
+// ConfigureWith bit for bit.
+func TestFoldUsersShardsMatchConfigure(t *testing.T) {
+	attack := []float64{3, 10, 45, 200}
+	rng := rand.New(rand.NewSource(29))
+	dists := streamTrain(rng, 41)
+	n := len(dists)
+	stat := make([]float64, n)
+	for u, d := range dists {
+		stat[u] = d.MustQuantile(0.99)
+	}
+	for _, h := range []Heuristic{Percentile{Q: 0.99}, UtilityOptimal{W: 0.4}} {
+		for _, grp := range []Grouping{Homogeneous{}, PartialDiversity{NumGroups: 4}, FullDiversity{}} {
+			policy := Policy{Heuristic: h, Grouping: grp}
+			want, err := ConfigureWith(ConfigureInput{Train: dists, Policy: policy, Attack: attack})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shard := range []int{1, 7, n} {
+				plan, err := NewStreamPlan(policy, stat, attack)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shards := (n + shard - 1) / shard
+				if err := par.ForEachErr(shards, 4, func(s int) error {
+					lo := s * shard
+					return plan.FoldUsers(lo, dists[lo:min(lo+shard, n)])
+				}); err != nil {
+					t.Fatal(err)
+				}
+				got, err := plan.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s shard %d: assignment diverges from ConfigureWith", policy.Name(), shard)
+				}
+				for u := range got.Thresholds {
+					if math.Float64bits(got.Thresholds[u]) != math.Float64bits(want.Thresholds[u]) {
+						t.Fatalf("%s shard %d: threshold %d bits differ", policy.Name(), shard, u)
+					}
+				}
+			}
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -489,6 +490,16 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
+			// A panic on one host's goroutine (its matrix, overlay or
+			// log hook) is that host's error, not the process's. The
+			// clock is cancelled so the other hosts stop instead of
+			// waiting for it at the barrier.
+			defer func() {
+				if v := recover(); v != nil {
+					errs[u] = fmt.Errorf("%w: %v\n%s", errAgentPanicked, v, debug.Stack())
+					clock.Cancel()
+				}
+			}()
 			m := matrixOf(u)
 			var overlayFn func(console.Thresholds) ([]float64, error)
 			if cfg.Attack.active() {
@@ -524,6 +535,11 @@ func Run(cfg Config) (*Result, error) {
 		}(u)
 	}
 	wg.Wait()
+	for u, err := range errs {
+		if errors.Is(err, errAgentPanicked) {
+			return nil, fmt.Errorf("fleet: host %d: %w", u, err)
+		}
+	}
 
 	deg := degraded{survivors: participants}
 	if cfg.AllowDegraded {
@@ -582,6 +598,10 @@ func Run(cfg Config) (*Result, error) {
 	res.SnapshotFallbacks = snapshotFallbacks
 	return res, nil
 }
+
+// errAgentPanicked marks a host whose goroutine panicked. It fails the
+// run in degraded mode too: a panic is a bug, not a casualty.
+var errAgentPanicked = errors.New("agent goroutine panicked")
 
 // degraded accumulates the run's casualty accounting.
 type degraded struct {

@@ -3,7 +3,9 @@ package fleet
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -538,5 +540,39 @@ func TestFleetParseSpecs(t *testing.T) {
 	}
 	if srv, err := (ConsoleSpec{Grouping: "full", Heuristic: "p99", Hosts: 3}).Build(); err != nil || srv == nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+}
+
+// TestFleetAgentPanicIsAnError pins the panic contract of Run's
+// per-host goroutines: a hook that panics on one host's goroutine (here
+// the log hook, on the first host to receive thresholds) must come
+// back as Run's error naming the host, not kill the process, and the
+// other hosts must stop instead of waiting for it — in degraded mode
+// too, where a panic is a bug rather than a casualty.
+func TestFleetAgentPanicIsAnError(t *testing.T) {
+	for _, degraded := range []bool{false, true} {
+		var fired atomic.Bool
+		cfg := Config{
+			Users:         6,
+			Weeks:         2,
+			Seed:          7,
+			BinWidth:      6 * time.Hour,
+			Policy:        p99Policy(core.FullDiversity{}),
+			AllowDegraded: degraded,
+			Logf: func(format string, args ...any) {
+				if strings.HasPrefix(format, "fleet: thresholds received") && fired.CompareAndSwap(false, true) {
+					panic("log hook bug")
+				}
+			},
+		}
+		res, err := Run(cfg)
+		if err == nil || res != nil {
+			t.Fatalf("degraded=%v: Run = %v, %v; want an error", degraded, res, err)
+		}
+		for _, want := range []string{"fleet: host ", "agent goroutine panicked", "log hook bug"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("degraded=%v: err = %v, want it to contain %q", degraded, err, want)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -143,7 +144,18 @@ func (d *Daemon) build(conn net.Conn, cfg trace.Config, key snapshot.Key, req bu
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
+	panicked := false // written before the send on done
 	go func() {
+		// A panicking build is a bug no retry can fix: it comes back to
+		// the client as a fatal error naming the range (the part writer
+		// has already dropped its temp file) instead of killing the
+		// daemon and every other session on it.
+		defer func() {
+			if v := recover(); v != nil {
+				panicked = true
+				done <- fmt.Errorf("build [%d, %d) panicked: %v\n%s", req.Lo, req.Hi, v, debug.Stack())
+			}
+		}()
 		done <- analysis.BuildShardRange(ctx, d.Dir, key, req.Lo, req.Hi, 0, func(u int, rows [][features.NumFeatures]float64) {
 			pop.Users[u].FillSeries(rows)
 			if d.BuildDelay > 0 {
@@ -160,6 +172,9 @@ func (d *Daemon) build(conn net.Conn, cfg trace.Config, key snapshot.Key, req bu
 	for {
 		select {
 		case err := <-done:
+			if panicked {
+				return sendErr(conn, false, err)
+			}
 			if err != nil {
 				return sendErr(conn, true, fmt.Errorf("build [%d, %d): %w", req.Lo, req.Hi, err))
 			}

@@ -536,3 +536,42 @@ func TestRemoteDaemonRejectsBadRequest(t *testing.T) {
 		t.Fatalf("err = %v, want the daemon's message", err)
 	}
 }
+
+// TestRemoteDaemonBuildPanicIsFatal pins the daemon's panic contract:
+// a generate function that panics inside BuildShardRange must not kill
+// the daemon. The client gets a fatal error naming the range, and the
+// same daemon then builds the range once generation is sound.
+func TestRemoteDaemonBuildPanicIsFatal(t *testing.T) {
+	pop, key := testPop(t, 8)
+	d := &Daemon{Dir: t.TempDir()}
+	// A population missing its last users makes generate index past
+	// the end for them: the panic fires inside the build's workers.
+	short := *pop
+	short.Users = pop.Users[:4]
+	d.pops = map[trace.Config]*trace.Population{pop.Cfg: &short}
+	addr, stop := startDaemon(t, d)
+	defer stop()
+	pool := &Pool{
+		Dir: t.TempDir(), Key: key, Cfg: pop.Cfg,
+		Hosts: []Host{tcpHost("a", addr)},
+	}
+	err := pool.Build(context.Background(), buildctl.Task{Lo: 0, Hi: 8})
+	if err == nil || !buildctl.IsFatal(err) {
+		t.Fatalf("err = %v, want a fatal abort", err)
+	}
+	for _, want := range []string{"build [0, 8) panicked", "index out of range"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to name %q", err, want)
+		}
+	}
+
+	d.mu.Lock()
+	d.pops[pop.Cfg] = pop
+	d.mu.Unlock()
+	if err := pool.Build(context.Background(), buildctl.Task{Lo: 0, Hi: 8}); err != nil {
+		t.Fatalf("daemon did not survive the panic: %v", err)
+	}
+	if _, err := snapshot.VerifyPart(pool.Dir, key, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -30,6 +31,10 @@ type Compressed struct {
 	// copy-and-swap so steady-state folding allocates only on growth.
 	uniqScratch []float64
 	cumScratch  []int64
+
+	// tree holds AddEmpiricals' per-level accumulators, kept between
+	// calls.
+	tree []Compressed
 }
 
 // N returns the total number of samples folded in.
@@ -49,30 +54,51 @@ func (c *Compressed) NumDistinct() int { return len(c.uniq) }
 // Empirical.AdoptSorted and is not retained. An empty column is a
 // no-op, mirroring MergeEmpiricals skipping empty members.
 func (c *Compressed) AddSorted(col []float64) error {
-	for i, v := range col {
-		if math.IsNaN(v) {
-			return fmt.Errorf("stats: sample %d is NaN", i)
-		}
-		if i > 0 && v < col[i-1] {
-			return fmt.Errorf("stats: samples not sorted at index %d (%g < %g)", i, v, col[i-1])
-		}
-	}
 	if len(col) == 0 {
 		return nil
+	}
+	if err := CheckSorted(col); err != nil {
+		return err
 	}
 	c.mergeCol(col)
 	return nil
 }
 
-// AddEmpirical folds an Empirical's samples without the defensive
-// copy Samples() would force. A nil or empty distribution is a no-op,
-// exactly as MergeEmpiricals skips nil members.
-func (c *Compressed) AddEmpirical(e *Empirical) {
-	if e == nil || len(e.sorted) == 0 {
+// AddEmpiricals folds a batch of distributions in one step. The
+// members are merged among themselves first, by halves: each member's
+// sorted column is run-length compressed, then sibling runs are merged
+// pairwise up a balanced tree into c, so a batch of k members takes
+// O(log k) passes over (deduplicated) runs instead of k passes over
+// c's runs. The distributions are not retained. Nil and empty members
+// are skipped, exactly as MergeEmpiricals skips them.
+func (c *Compressed) AddEmpiricals(es []*Empirical) {
+	for depth := bits.Len(uint(len(es))); len(c.tree) < depth; {
+		c.tree = append(c.tree, Compressed{})
+	}
+	foldHalves(c, c.tree, es)
+}
+
+// foldHalves folds es into dst, using scratch[0] for the right half's
+// runs and scratch[1:] for the deeper levels.
+func foldHalves(dst *Compressed, scratch []Compressed, es []*Empirical) {
+	if len(es) <= 1 {
+		// Empirical's invariant makes every column sorted and NaN-free.
+		if len(es) == 1 && es[0] != nil && len(es[0].sorted) > 0 {
+			dst.mergeCol(es[0].sorted)
+		}
 		return
 	}
-	// Empirical's invariant already guarantees sorted and NaN-free.
-	c.mergeCol(e.sorted)
+	mid := len(es) / 2
+	foldHalves(dst, scratch, es[:mid])
+	right := &scratch[0]
+	right.Reset()
+	foldHalves(right, scratch[1:], es[mid:])
+	dst.Merge(right)
+}
+
+// Reset empties the accumulator, keeping its buffers for reuse.
+func (c *Compressed) Reset() {
+	c.uniq, c.cum = c.uniq[:0], c.cum[:0]
 }
 
 // mergeCol two-pointer merges a sorted raw column into the (uniq, cum)

@@ -107,6 +107,24 @@ func TestCompressedFoldOrderInvariant(t *testing.T) {
 		if !reflect.DeepEqual(seq.uniq, left.uniq) || !reflect.DeepEqual(seq.cum, left.cum) {
 			t.Fatalf("trial %d: Merge of partial folds diverges from sequential", trial)
 		}
+
+		// Batch folds (the per-shard shape), one of them reusing a
+		// reset accumulator, merged into an accumulator.
+		dists := make([]*Empirical, len(cols)+1) // a nil member is skipped
+		for i, c := range cols {
+			dists[i] = MustEmpirical(c)
+		}
+		var batch, scratch Compressed
+		scratch.AddEmpiricals(dists[cut:])
+		scratch.Reset()
+		scratch.AddEmpiricals(dists[:cut])
+		batch.Merge(&scratch)
+		scratch.Reset()
+		scratch.AddEmpiricals(dists[cut:])
+		batch.Merge(&scratch)
+		if !reflect.DeepEqual(seq.uniq, batch.uniq) || !reflect.DeepEqual(seq.cum, batch.cum) {
+			t.Fatalf("trial %d: batch folds diverge from sequential", trial)
+		}
 	}
 }
 
@@ -177,7 +195,7 @@ func TestCompressedValidation(t *testing.T) {
 	if v, err := c.Quantile(1); err != nil || v != 3 {
 		t.Fatalf("single-sample quantile = %g, %v", v, err)
 	}
-	c.AddEmpirical(nil) // no-op, must not panic
+	c.AddEmpiricals(nil) // no-op, must not panic
 	var d Compressed
 	d.Merge(&c)
 	d.Merge(nil)

@@ -68,6 +68,24 @@ func NewEmpiricalFromSorted(sorted []float64) (*Empirical, error) {
 // allocating each behind a pointer; e must not be shared with other
 // goroutines until the call returns.
 func (e *Empirical) AdoptSorted(sorted []float64) error {
+	if err := CheckSorted(sorted); err != nil {
+		return err
+	}
+	e.sorted = sorted
+	return nil
+}
+
+// AdoptChecked is AdoptSorted without the validation pass, for a
+// caller that already ran CheckSorted over this exact slice (and has
+// not modified it since) and adopts it again — a mapped column wired
+// into a fresh view per shard, say. Adopting anything else breaks the
+// Empirical invariant silently.
+func (e *Empirical) AdoptChecked(sorted []float64) { e.sorted = sorted }
+
+// CheckSorted is the validation pass of AdoptSorted: sorted must be
+// non-empty, NaN-free and non-decreasing. It reads the slice once and
+// allocates nothing.
+func CheckSorted(sorted []float64) error {
 	if len(sorted) == 0 {
 		return ErrNoSamples
 	}
@@ -82,7 +100,6 @@ func (e *Empirical) AdoptSorted(sorted []float64) error {
 			return fmt.Errorf("stats: samples not sorted at index %d (%g < %g)", i, sorted[i], sorted[i-1])
 		}
 	}
-	e.sorted = sorted
 	return nil
 }
 
