@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -274,8 +275,15 @@ func (a *Agent) writeTo(l *link, t MsgType, payload any) error {
 	return WriteMsg(l.conn, t, payload)
 }
 
-// readLoop dispatches inbound messages until l's connection dies.
+// readLoop dispatches inbound messages until l's connection dies. A
+// panic here (the decoder runs here) fails only this link, with the
+// panic as its cause; the manager then heals it like any other loss.
 func (a *Agent) readLoop(l *link) {
+	defer func() {
+		if v := recover(); v != nil {
+			l.fail(fmt.Errorf("console: read loop panicked: %v\n%s", v, debug.Stack()))
+		}
+	}()
 	for {
 		t, body, err := ReadMsg(l.conn)
 		if err != nil {
@@ -325,9 +333,17 @@ func (a *Agent) wakeLocked() {
 
 // manage owns the agent's connection lifecycle: it waits for the
 // current link to die, then either redials (when a Dial function is
-// configured) or marks the agent permanently dead.
+// configured) or marks the agent permanently dead. A panic here (in
+// the Dial function, say) leaves nothing to heal the agent, so it
+// marks the agent dead with the panic as the cause: its callers get
+// an error, and the process and every other agent carry on.
 func (a *Agent) manage(l *link) {
 	defer close(a.managerDone)
+	defer func() {
+		if v := recover(); v != nil {
+			a.markDead(fmt.Errorf("console: connection manager panicked: %v\n%s", v, debug.Stack()))
+		}
+	}()
 	for {
 		<-l.done
 		cause := l.failure()

@@ -2,8 +2,13 @@ package console
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,25 +20,112 @@ import (
 	"repro/internal/trace"
 )
 
+// codecSamples is one message of every type, with the float values
+// a lossy codec would mangle: +Inf, -0, subnormals, values with a full
+// 52-bit mantissa.
+func codecSamples() []message {
+	return []message{
+		Hello{HostID: 9, Hostname: "laptop-9", Resume: true},
+		DistUpload{HostID: 9, Feature: int(features.UDP), Samples: []float64{1, 2, 3.5, math.Copysign(0, -1), 0.1, 5e-324, -7}, Epoch: 3},
+		Thresholds{Values: [features.NumFeatures]float64{10, math.Inf(1), 0.30000000000000004, 0, 672, 1e300}, Policy: "percentile(99)", Group: 2, Epoch: 1},
+		AlertBatch{HostID: 9, Alerts: []Alert{{Feature: 5, Bin: 1343, Value: 12, Threshold: 11.5}, {Feature: 0, Bin: -1, Value: math.MaxFloat64, Threshold: math.Inf(1)}}, Seq: 1 << 40},
+		Ack{Seq: 7},
+		ProtoError{Message: "expected hello"},
+		Ping{HostID: math.MaxUint32},
+	}
+}
+
+// TestWriteReadMsgRoundTrip frames every message type and decodes it
+// back to an identical value, every float bit for bit.
 func TestWriteReadMsgRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := DistUpload{HostID: 9, Feature: int(features.UDP), Samples: []float64{1, 2, 3.5}}
-	if err := WriteMsg(&buf, MsgDistUpload, in); err != nil {
-		t.Fatal(err)
+	for _, in := range codecSamples() {
+		var buf bytes.Buffer
+		if err := WriteMsg(&buf, in.msgType(), in); err != nil {
+			t.Fatal(err)
+		}
+		typ, body, err := ReadMsg(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != in.msgType() || buf.Len() != 0 {
+			t.Fatalf("%s: read type %s with %d bytes left", in.msgType(), typ, buf.Len())
+		}
+		out := reflect.New(reflect.TypeOf(in)).Interface()
+		if err := decode(typ, body, out); err != nil {
+			t.Fatal(err)
+		}
+		got := reflect.ValueOf(out).Elem().Interface()
+		if !reflect.DeepEqual(got, in) {
+			t.Fatalf("%s round trip: got %+v, want %+v", typ, got, in)
+		}
+		// DeepEqual holds 0 == -0; the bodies must match bit for bit.
+		if re := got.(message).appendBody(nil); !bytes.Equal(re, body) {
+			t.Fatalf("%s: decoded value re-encodes differently", typ)
+		}
+		switch m := got.(type) {
+		case Thresholds:
+			if !math.IsInf(m.Values[1], 1) {
+				t.Fatalf("+Inf threshold came back as %v", m.Values[1])
+			}
+		case DistUpload:
+			if !math.Signbit(m.Samples[3]) {
+				t.Fatal("-0 sample lost its sign")
+			}
+		}
 	}
-	typ, body, err := ReadMsg(&buf)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDecodeIsStrict pins the decoder's refusals: anything that would
+// not re-encode to the same bytes, counts the body cannot hold, values
+// out of their field's range, payloads of the wrong type, and a body
+// of every type in the JSON encoding the protocol used to speak.
+func TestDecodeIsStrict(t *testing.T) {
+	type decodeCase struct {
+		name string
+		typ  MsgType
+		body []byte
+		into any
 	}
-	if typ != MsgDistUpload {
-		t.Fatalf("type = %v", typ)
+	cases := []decodeCase{
+		{"empty", MsgAck, nil, new(Ack)},
+		{"trailing byte", MsgAck, []byte{7, 0}, new(Ack)},
+		{"non-minimal varint", MsgAck, []byte{0x87, 0x00}, new(Ack)},
+		{"varint overflow", MsgAck, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, new(Ack)},
+		{"host id past uint32", MsgPing, []byte{0x80, 0x80, 0x80, 0x80, 0x10}, new(Ping)},
+		{"bool 2", MsgHello, []byte{1, 0, 2}, new(Hello)},
+		{"string past body", MsgError, []byte{5, 'a', 'b'}, new(ProtoError)},
+		{"2^32 samples", MsgDistUpload, []byte{1, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 2, 3}, new(DistUpload)},
+		{"alerts past body", MsgAlertBatch, []byte{1, 2, 0, 0, 0, 0, 0}, new(AlertBatch)},
+		{"wrong target type", MsgAck, []byte{7}, new(Ping)},
+		{"unknown type", MsgType(99), []byte{7}, new(Ack)},
 	}
-	var out DistUpload
-	if err := decode(typ, body, &out); err != nil {
-		t.Fatal(err)
+	for _, in := range codecSamples() {
+		// JSON has no +Inf.
+		switch m := in.(type) {
+		case Thresholds:
+			m.Values[1] = 1e9
+			in = m
+		case AlertBatch:
+			m.Alerts = m.Alerts[:1]
+			in = m
+		}
+		body, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := reflect.New(reflect.TypeOf(in)).Interface()
+		cases = append(cases, decodeCase{"JSON " + in.msgType().String(), in.msgType(), body, into})
 	}
-	if out.HostID != 9 || out.Feature != int(features.UDP) || len(out.Samples) != 3 {
-		t.Fatalf("round trip: %+v", out)
+	for _, c := range cases {
+		if err := decode(c.typ, c.body, c.into); err == nil {
+			t.Errorf("%s: accepted %x as %+v", c.name, c.body, c.into)
+		}
+	}
+	if err := WriteMsg(io.Discard, MsgAck, Ping{}); err == nil {
+		t.Error("WriteMsg framed a ping as an ack")
+	}
+	if err := WriteMsg(io.Discard, MsgAck, struct{}{}); err == nil {
+		t.Error("WriteMsg framed a non-message payload")
 	}
 }
 
@@ -396,6 +488,38 @@ func TestUploadValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteUploadRefused checks that the console refuses an upload
+// holding a NaN or ±Inf sample with a protocol error naming the
+// sample, ends that connection, and accepts the host's finite
+// re-upload.
+func TestNonFiniteUploadRefused(t *testing.T) {
+	srv, network := memServer(t, 1)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		conn := rawDial(t, network, 1, false)
+		if err := WriteMsg(conn, MsgDistUpload, DistUpload{HostID: 1, Feature: int(features.UDP), Samples: []float64{1, bad, 3}}); err != nil {
+			t.Fatal(err)
+		}
+		var pe ProtoError
+		if err := decode(MsgError, expectFrame(t, conn, MsgError), &pe); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%s sample 1 is %v", features.UDP, bad); !strings.Contains(pe.Message, want) {
+			t.Fatalf("refusal %q does not name %q", pe.Message, want)
+		}
+		if _, _, err := ReadMsg(conn); !errors.Is(err, io.EOF) {
+			t.Fatalf("connection after the refusal: read err = %v, want EOF", err)
+		}
+		_ = conn.Close()
+	}
+	conn := rawDial(t, network, 1, false)
+	defer conn.Close()
+	uploadAll(t, conn, 1, 0, []float64{1, 2, 3})
+	expectFrame(t, conn, MsgThresholds)
+	if !srv.Configured() {
+		t.Fatal("console not configured by the finite re-upload")
+	}
+}
+
 func TestAgentObserveBeforeThresholds(t *testing.T) {
 	_, addr := startServer(t, ServerConfig{
 		Policy:        policy99(core.Homogeneous{}),
@@ -572,5 +696,50 @@ func TestWeeklyRelearning(t *testing.T) {
 	}
 	if srv.Epoch() != 1 {
 		t.Fatalf("server epoch = %d", srv.Epoch())
+	}
+}
+
+// BenchmarkWriteReadMsg frames, reads and decodes the plane's two bulk
+// messages: a week of 15-minute training samples (672 integral
+// counts) and a 100-alert batch. MB/s is frame bytes through the whole
+// round trip.
+func BenchmarkWriteReadMsg(b *testing.B) {
+	samples := make([]float64, 672)
+	for i := range samples {
+		samples[i] = float64((i * 37) % 200)
+	}
+	alerts := make([]Alert, 100)
+	for i := range alerts {
+		alerts[i] = Alert{Feature: i % features.NumFeatures, Bin: 672 + 3*i, Value: float64(200 + i), Threshold: 187.5}
+	}
+	for _, bc := range []struct {
+		name string
+		in   message
+		out  decodable
+	}{
+		{"DistUpload672", DistUpload{HostID: 17, Feature: int(features.Distinct), Samples: samples, Epoch: 1}, new(DistUpload)},
+		{"AlertBatch100", AlertBatch{HostID: 17, Alerts: alerts, Seq: 42}, new(AlertBatch)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := WriteMsg(&buf, bc.in.msgType(), bc.in); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			for b.Loop() {
+				buf.Reset()
+				if err := WriteMsg(&buf, bc.in.msgType(), bc.in); err != nil {
+					b.Fatal(err)
+				}
+				typ, body, err := ReadMsg(&buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := decode(typ, body, bc.out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

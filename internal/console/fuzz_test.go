@@ -3,8 +3,8 @@ package console
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -33,6 +33,60 @@ func FuzzReadMsg(f *testing.F) {
 		copy(frame[5:], body)
 		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(frame, consumed) {
 			t.Fatalf("accepted frame does not re-encode to the %d bytes it consumed", len(consumed))
+		}
+	})
+}
+
+// newDecodable returns a fresh message of type t, or nil for a type
+// the protocol does not define.
+func newDecodable(t MsgType) decodable {
+	switch t {
+	case MsgHello:
+		return new(Hello)
+	case MsgDistUpload:
+		return new(DistUpload)
+	case MsgThresholds:
+		return new(Thresholds)
+	case MsgAlertBatch:
+		return new(AlertBatch)
+	case MsgAck:
+		return new(Ack)
+	case MsgError:
+		return new(ProtoError)
+	case MsgPing:
+		return new(Ping)
+	}
+	return nil
+}
+
+// FuzzDecode feeds arbitrary bodies to every message type's decoder
+// (seeds under testdata/fuzz/FuzzDecode: one valid body per type and
+// an upload whose count claims 2^32 samples). The decoder must never
+// panic, never allocate more than the body can hold — a count is
+// checked against the bytes left before anything is made — and a body
+// it accepts must re-encode to exactly the same bytes.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, typ uint8, body []byte) {
+		m := newDecodable(MsgType(typ))
+		if m == nil {
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode(MsgType(typ), body, m)
+		runtime.ReadMemStats(&after)
+		// Every element costs at least one body byte and at most 8 heap
+		// bytes per body byte (a float64 sample; an Alert is 32 bytes
+		// from at least 4), so 8×len(body) plus slack for the error and
+		// the runtime's own bookkeeping bounds an honest decoder.
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(body)+64<<10); got > bound {
+			t.Fatalf("decoding a %d-byte %s body allocated %d bytes (bound %d)", len(body), MsgType(typ), got, bound)
+		}
+		if err != nil {
+			return
+		}
+		if re := m.appendBody(nil); !bytes.Equal(re, body) {
+			t.Fatalf("accepted %s body %x re-encodes to %x", MsgType(typ), body, re)
 		}
 	})
 }
@@ -131,7 +185,7 @@ func TestFrameStreamThroughFaults(t *testing.T) {
 			for w := 0; w < 30; w++ {
 				var (
 					typ     MsgType
-					payload any
+					payload message
 				)
 				switch rng.Intn(3) {
 				case 0:
@@ -152,11 +206,7 @@ func TestFrameStreamThroughFaults(t *testing.T) {
 					}
 					payload = DistUpload{HostID: 3, Feature: rng.Intn(6), Samples: samples}
 				}
-				body, err := json.Marshal(payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sent = append(sent, frame{typ, body})
+				sent = append(sent, frame{typ, payload.appendBody(nil)})
 				if err := WriteMsg(conn, typ, payload); err != nil {
 					// The frame errored mid-transport; it may have been
 					// partially delivered, so it cannot count as sent

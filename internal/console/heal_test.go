@@ -61,10 +61,17 @@ func uploadAll(t *testing.T, conn net.Conn, host uint32, epoch int, samples []fl
 
 func memServer(t *testing.T, hosts int) (*Server, *netsim.MemNetwork) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{
+	return startMemServer(t, ServerConfig{
 		Policy:        policy99(core.FullDiversity{}),
 		ExpectedHosts: hosts,
 	})
+}
+
+// startMemServer serves a console configured by cfg on an in-memory
+// network.
+func startMemServer(t *testing.T, cfg ServerConfig) (*Server, *netsim.MemNetwork) {
+	t.Helper()
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -49,7 +51,7 @@ type Server struct {
 	configuring bool
 	epoch       int
 	conns       map[uint32]*serverConn
-	dists       map[uint32]*[features.NumFeatures][]float64
+	dists       map[uint32]*[features.NumFeatures]*stats.Empirical
 	complete    map[uint32]bool
 	pushed      bool
 	alertTally  map[uint32]int
@@ -58,6 +60,7 @@ type Server struct {
 	liveness    map[uint32]*HostLiveness
 	assignment  map[features.Feature]*core.Assignment
 	hostOrder   []uint32
+	hostIndex   map[uint32]int // host ID → position in hostOrder
 
 	wg       sync.WaitGroup
 	closing  bool
@@ -109,11 +112,12 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return &Server{
 		cfg:        cfg,
 		conns:      make(map[uint32]*serverConn),
-		dists:      make(map[uint32]*[features.NumFeatures][]float64),
+		dists:      make(map[uint32]*[features.NumFeatures]*stats.Empirical),
 		complete:   make(map[uint32]bool),
 		alertTally: make(map[uint32]int),
 		alertSeq:   make(map[uint32]uint64),
 		liveness:   make(map[uint32]*HostLiveness),
+		hostIndex:  make(map[uint32]int),
 	}, nil
 }
 
@@ -137,7 +141,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			if err := s.handle(conn); err != nil && !errors.Is(err, net.ErrClosed) {
+			if err := s.serveConn(conn); err != nil && !errors.Is(err, net.ErrClosed) {
 				s.cfg.Logf("console: connection from %v: %v", conn.RemoteAddr(), err)
 			}
 		}()
@@ -150,6 +154,21 @@ func (s *Server) readDeadline(conn net.Conn) {
 	if s.cfg.IdleTimeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	}
+}
+
+// serveConn runs handle on the connection's own goroutine and turns a
+// panic there (the decoder runs here, and so does configuration for
+// the host whose upload completes the round) into that connection's
+// error. handle's deferred cleanup has closed the connection and freed
+// its host slot by then, so the console keeps serving every other
+// agent, and the host can reconnect.
+func (s *Server) serveConn(conn net.Conn) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("handler panicked: %v\n%s", v, debug.Stack())
+		}
+	}()
+	return s.handle(conn)
 }
 
 // handle runs one agent connection to completion.
@@ -274,7 +293,8 @@ func (s *Server) register(sc *serverConn, resume bool) error {
 		if _, dup := s.conns[sc.hostID]; !dup {
 			s.conns[sc.hostID] = sc
 			if _, ok := s.dists[sc.hostID]; !ok {
-				s.dists[sc.hostID] = &[features.NumFeatures][]float64{}
+				s.dists[sc.hostID] = &[features.NumFeatures]*stats.Empirical{}
+				s.hostIndex[sc.hostID] = len(s.hostOrder)
 				s.hostOrder = append(s.hostOrder, sc.hostID)
 			}
 			if !resume {
@@ -313,6 +333,11 @@ func (s *Server) touch(hostID uint32) {
 	s.mu.Unlock()
 }
 
+// acceptUpload validates one training upload and stores its empirical
+// distribution. The distribution is built here, on the uploading
+// connection's goroutine, as the upload arrives: the decoded samples
+// belong to this upload alone, so they are sorted in place and adopted
+// without a copy, and configuration later has nothing left to build.
 func (s *Server) acceptUpload(sc *serverConn, up DistUpload) error {
 	if up.HostID != sc.hostID {
 		return fmt.Errorf("upload host %d on connection of host %d", up.HostID, sc.hostID)
@@ -323,6 +348,16 @@ func (s *Server) acceptUpload(sc *serverConn, up DistUpload) error {
 	}
 	if len(up.Samples) == 0 {
 		return fmt.Errorf("empty distribution for %s", f)
+	}
+	for i, v := range up.Samples {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%s sample %d is %v", f, i, v)
+		}
+	}
+	sort.Float64s(up.Samples)
+	dist, err := stats.NewEmpiricalFromSorted(up.Samples)
+	if err != nil {
+		return fmt.Errorf("%s: %w", f, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,17 +380,17 @@ func (s *Server) acceptUpload(sc *serverConn, up DistUpload) error {
 		s.pushed = false
 		s.epoch++
 		for id := range s.dists {
-			s.dists[id] = &[features.NumFeatures][]float64{}
+			s.dists[id] = &[features.NumFeatures]*stats.Empirical{}
 		}
 		for id := range s.complete {
 			s.complete[id] = false
 		}
 		s.cfg.Logf("console: epoch %d opened by host %d", s.epoch, sc.hostID)
 	}
-	s.dists[sc.hostID][f] = up.Samples
+	s.dists[sc.hostID][f] = dist
 	all := true
-	for _, samples := range s.dists[sc.hostID] {
-		if len(samples) == 0 {
+	for _, d := range s.dists[sc.hostID] {
+		if d == nil {
 			all = false
 			break
 		}
@@ -382,38 +417,29 @@ func (s *Server) maybeConfigure() {
 		s.mu.Unlock()
 		return
 	}
-	s.configuring = true
-	hostOrder := append([]uint32(nil), s.hostOrder...)
-	dists := make(map[uint32]*[features.NumFeatures][]float64, len(s.dists))
-	for id, d := range s.dists {
-		dists[id] = d
+	// Every distribution was built as its upload arrived; configuration
+	// only gathers them, in first-seen host order. A host that
+	// connected but never completed its uploads holds the round back.
+	hosts := len(s.hostOrder)
+	var train [features.NumFeatures][]*stats.Empirical
+	for f := range train {
+		train[f] = make([]*stats.Empirical, hosts)
+		for i, id := range s.hostOrder {
+			if train[f][i] = s.dists[id][f]; train[f][i] == nil {
+				s.mu.Unlock()
+				s.cfg.Logf("console: host %d has no %s distribution; not configuring", id, features.Feature(f))
+				return
+			}
+		}
 	}
+	s.configuring = true
 	s.mu.Unlock()
 
-	assignment := make(map[features.Feature]*core.Assignment, features.NumFeatures)
-	for _, f := range features.All() {
-		train := make([]*stats.Empirical, len(hostOrder))
-		ok := true
-		for i, id := range hostOrder {
-			e, err := stats.NewEmpirical(dists[id][f])
-			if err != nil {
-				s.cfg.Logf("console: host %d feature %s: %v", id, f, err)
-				ok = false
-				break
-			}
-			train[i] = e
-		}
-		if !ok {
-			s.abortConfigure()
-			return
-		}
-		asn, err := core.Configure(train, s.cfg.Policy, s.cfg.AttackMagnitudes)
-		if err != nil {
-			s.cfg.Logf("console: configuring %s: %v", f, err)
-			s.abortConfigure()
-			return
-		}
-		assignment[f] = asn
+	assignment, err := s.assign(train)
+	if err != nil {
+		s.cfg.Logf("console: %v", err)
+		s.abortConfigure()
+		return
 	}
 
 	s.mu.Lock()
@@ -426,12 +452,33 @@ func (s *Server) maybeConfigure() {
 	}
 	s.mu.Unlock()
 	s.cfg.Logf("console: policy %s configured for %d hosts; pushing thresholds",
-		s.cfg.Policy.Name(), len(hostOrder))
+		s.cfg.Policy.Name(), hosts)
 	for _, sc := range conns {
 		if err := s.pushTo(sc); err != nil {
 			s.cfg.Logf("console: pushing to host %d: %v", sc.hostID, err)
 		}
 	}
+}
+
+// assign runs the policy over every feature's distributions. A panic
+// in the policy comes back as an error, so a faulty heuristic fails
+// one configuration attempt instead of holding the single-flight
+// guard forever.
+func (s *Server) assign(train [features.NumFeatures][]*stats.Empirical) (out map[features.Feature]*core.Assignment, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("policy %s panicked: %v\n%s", s.cfg.Policy.Name(), v, debug.Stack())
+		}
+	}()
+	out = make(map[features.Feature]*core.Assignment, features.NumFeatures)
+	for _, f := range features.All() {
+		asn, err := core.Configure(train[f], s.cfg.Policy, s.cfg.AttackMagnitudes)
+		if err != nil {
+			return nil, fmt.Errorf("configuring %s: %w", f, err)
+		}
+		out[f] = asn
+	}
+	return out, nil
 }
 
 // abortConfigure releases the single-flight configuration guard
@@ -446,22 +493,14 @@ func (s *Server) abortConfigure() {
 func (s *Server) pushTo(sc *serverConn) error {
 	s.mu.Lock()
 	asn := s.assignment
-	idx := -1
-	for i, id := range s.hostOrder {
-		if id == sc.hostID {
-			idx = i
-			break
-		}
-	}
-	s.mu.Unlock()
-	if asn == nil || idx < 0 || idx >= len(asn[features.TCP].Thresholds) {
-		return fmt.Errorf("no assignment for host %d", sc.hostID)
-	}
+	idx, known := s.hostIndex[sc.hostID]
 	var msg Thresholds
-	msg.Policy = s.cfg.Policy.Name()
-	s.mu.Lock()
 	msg.Epoch = s.epoch
 	s.mu.Unlock()
+	if asn == nil || !known || idx >= len(asn[features.TCP].Thresholds) {
+		return fmt.Errorf("no assignment for host %d", sc.hostID)
+	}
+	msg.Policy = s.cfg.Policy.Name()
 	for _, f := range features.All() {
 		msg.Values[f] = asn[f].Thresholds[idx]
 	}

@@ -29,7 +29,7 @@ func p99Policy(g core.Grouping) core.Policy {
 // (hundreds of millions of per-connection draws at scale), so each
 // test generates once and shares the matrices between the fleet run
 // (Config.Matrices) and the in-memory workspace it is pinned to.
-func buildMats(t *testing.T, cfg Config) []*features.Matrix {
+func buildMats(t testing.TB, cfg Config) []*features.Matrix {
 	t.Helper()
 	pop := trace.MustPopulation(trace.Config{
 		Users:       cfg.Users,

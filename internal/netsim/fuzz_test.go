@@ -10,11 +10,29 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestTraceReaderSurvivesCorruption feeds randomly corrupted .etr
-// streams to the reader: whatever the bytes, the reader must return
-// records or errors, never panic, and never read past the input.
-func TestTraceReaderSurvivesCorruption(t *testing.T) {
-	// Start from a valid trace and flip random bytes.
+// corruptions returns base followed by trials seeded corruptions of
+// it: 1-8 random bytes flipped (possibly in the header), and half of
+// them truncated at a random length.
+func corruptions(base []byte, seed uint64, trials int) [][]byte {
+	out := [][]byte{base}
+	rng := xrand.New(seed)
+	for trial := 0; trial < trials; trial++ {
+		data := append([]byte(nil), base...)
+		for k := 0; k <= rng.Intn(8); k++ {
+			data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
+		}
+		if rng.Intn(2) == 0 {
+			data = data[:rng.Intn(len(data)+1)]
+		}
+		out = append(out, data)
+	}
+	return out
+}
+
+// FuzzTraceReader feeds arbitrary bytes to the .etr reader, seeded
+// with a valid 50-record trace and 200 corruptions of it: whatever the
+// bytes, the reader must return records or errors, never panic.
+func FuzzTraceReader(f *testing.F) {
 	var valid bytes.Buffer
 	tw, _ := NewTraceWriter(&valid, 7)
 	for i := 0; i < 50; i++ {
@@ -23,64 +41,50 @@ func TestTraceReaderSurvivesCorruption(t *testing.T) {
 		_ = tw.Write(r)
 	}
 	_ = tw.Flush()
-	base := valid.Bytes()
-
-	rng := xrand.New(99)
-	for trial := 0; trial < 200; trial++ {
-		data := append([]byte(nil), base...)
-		// Corrupt 1-8 random bytes, possibly in the header.
-		for k := 0; k <= rng.Intn(8); k++ {
-			data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
-		}
-		// Possibly truncate.
-		if rng.Intn(2) == 0 {
-			data = data[:rng.Intn(len(data)+1)]
-		}
+	for _, data := range corruptions(valid.Bytes(), 99, 200) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := NewTraceReader(bytes.NewReader(data))
 		if err != nil {
-			continue // rejected header: fine
+			return // rejected header: fine
 		}
 		var rec Record
 		for n := 0; n < 1000; n++ {
 			if err := tr.Next(&rec); err != nil {
-				break // EOF or corruption error: fine
+				return // EOF or corruption error: fine
 			}
 		}
-	}
+	})
 }
 
-// TestPcapReaderSurvivesCorruption does the same for the pcap reader.
-func TestPcapReaderSurvivesCorruption(t *testing.T) {
+// FuzzPcapReader does the same for the pcap reader and the IPv4
+// decoder behind it, seeded with a valid 20-packet capture and 200
+// corruptions of it.
+func FuzzPcapReader(f *testing.F) {
 	var valid bytes.Buffer
 	pw, _ := NewPcapWriter(&valid, 0)
 	for i := 0; i < 20; i++ {
 		_ = pw.Write(sampleRecord())
 	}
 	_ = pw.Flush()
-	base := valid.Bytes()
-
-	rng := xrand.New(101)
-	for trial := 0; trial < 200; trial++ {
-		data := append([]byte(nil), base...)
-		for k := 0; k <= rng.Intn(8); k++ {
-			data[rng.Intn(len(data))] ^= byte(1 + rng.Intn(255))
-		}
-		if rng.Intn(2) == 0 {
-			data = data[:rng.Intn(len(data)+1)]
-		}
+	for _, data := range corruptions(valid.Bytes(), 101, 200) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
 		pr, err := NewPcapReader(bytes.NewReader(data))
 		if err != nil {
-			continue
+			return
 		}
 		for n := 0; n < 1000; n++ {
 			pkt, err := pr.Next()
 			if err != nil {
-				break
+				return
 			}
 			// Decoding arbitrary bytes must not panic either.
 			_, _ = DecodeIPv4(pkt.Data)
 		}
-	}
+	})
 }
 
 // TestDecodeIPv4ArbitraryBytes hammers the decoder with random

@@ -49,7 +49,7 @@ func (d *Daemon) logf(format string, args ...any) {
 
 // Serve accepts sessions on l until Accept fails (closing the
 // listener is the shutdown path). Each session runs on its own
-// goroutine; a session error ends that session only.
+// goroutine; a session error, or a panic, ends that session only.
 func (d *Daemon) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
@@ -58,11 +58,24 @@ func (d *Daemon) Serve(l net.Listener) error {
 		}
 		go func() {
 			defer conn.Close()
-			if err := d.session(conn); err != nil {
+			if err := d.serveSession(conn); err != nil {
 				d.logf("remotework: session from %v: %v", conn.RemoteAddr(), err)
 			}
 		}()
 	}
+}
+
+// serveSession runs one session and turns a panic in it into the
+// session's error, so the daemon and its other sessions carry on.
+// (A panicking build is already a fatal error sent to the client, see
+// build.)
+func (d *Daemon) serveSession(conn net.Conn) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("session panicked: %v\n%s", v, debug.Stack())
+		}
+	}()
+	return d.session(conn)
 }
 
 // population returns the cached population for a normalized config,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"strings"
@@ -570,6 +571,70 @@ func TestRemoteDaemonBuildPanicIsFatal(t *testing.T) {
 	d.mu.Unlock()
 	if err := pool.Build(context.Background(), buildctl.Task{Lo: 0, Hi: 8}); err != nil {
 		t.Fatalf("daemon did not survive the panic: %v", err)
+	}
+	if _, err := snapshot.VerifyPart(pool.Dir, key, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// panicListener hands out one connection whose first Read panics.
+type panicListener struct {
+	net.Listener
+	armed atomic.Bool
+}
+
+func (l *panicListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil && l.armed.CompareAndSwap(true, false) {
+		c = panicReadConn{c}
+	}
+	return c, err
+}
+
+type panicReadConn struct{ net.Conn }
+
+func (panicReadConn) Read([]byte) (int, error) { panic("read exploded") }
+
+// TestRemoteDaemonSessionPanicEndsOnlySession pins the per-session
+// panic contract: a panic on a session's goroutine is logged with its
+// value and closes that session's connection, and the same daemon then
+// serves the next session's build.
+func TestRemoteDaemonSessionPanicEndsOnlySession(t *testing.T) {
+	pop, key := testPop(t, 8)
+	logged := make(chan string, 16)
+	d := &Daemon{Dir: t.TempDir(), Logf: func(format string, args ...any) {
+		select {
+		case logged <- fmt.Sprintf(format, args...):
+		default:
+		}
+	}}
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &panicListener{Listener: tcp}
+	l.armed.Store(true)
+	go d.Serve(l)
+	defer l.Close()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("panicked session's connection still open")
+	}
+	_ = conn.Close()
+	if line := <-logged; !strings.Contains(line, "session panicked: read exploded") {
+		t.Fatalf("logged %q, want the session's panic", line)
+	}
+
+	pool := &Pool{
+		Dir: t.TempDir(), Key: key, Cfg: pop.Cfg,
+		Hosts: []Host{tcpHost("a", l.Addr().String())},
+	}
+	if err := pool.Build(context.Background(), buildctl.Task{Lo: 0, Hi: 8}); err != nil {
+		t.Fatalf("daemon did not survive the session panic: %v", err)
 	}
 	if _, err := snapshot.VerifyPart(pool.Dir, key, 0, 8); err != nil {
 		t.Fatal(err)
